@@ -12,7 +12,6 @@ from .geometry import (
     Point3,
     PointCloud,
     SearchSpace,
-    angle_cosine,
     decode,
     encode,
 )
@@ -21,8 +20,6 @@ from .gp import (
     FactorizationError,
     GpModel,
     KernelSpec,
-    Posterior,
-    kernel_eval,
     kernel_matrix,
 )
 from .planner import (
@@ -36,15 +33,7 @@ from .planner import (
     run_experiment,
     simple_regret,
 )
-from .reward import (
-    RewardParams,
-    fov_condition,
-    match_condition,
-    noisy_reward,
-    pair_quality,
-    pair_visibility,
-    reward,
-)
+from .reward import RewardParams, noisy_reward, reward
 from .scene import (
     DEFAULT_SIGMA,
     LAYOUTS,
@@ -60,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "angle_cosine",
     "apply_noise",
     "BaselineResult",
     "BoConfig",
@@ -74,26 +62,20 @@ __all__ = [
     "encode",
     "ExperimentReport",
     "FactorizationError",
-    "fov_condition",
     "generate_scene",
     "GpModel",
     "init_design",
     "KERNEL_FAMILIES",
-    "kernel_eval",
     "kernel_matrix",
     "KernelSpec",
     "LAYOUTS",
-    "match_condition",
     "maximize_ei",
     "NoiseModel",
     "NoiseRealization",
     "noisy_reward",
-    "pair_quality",
-    "pair_visibility",
     "Placement",
     "Point3",
     "PointCloud",
-    "Posterior",
     "RegretTrace",
     "reward",
     "RewardParams",

@@ -19,6 +19,12 @@ SIGMA_FLOOR = 1e-12
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# Pattern search in maximize_ei: starts, first and smallest step, round cap.
+_N_REFINE = 5
+_STEP_INIT = 0.05
+_STEP_MIN = 1e-4
+_MAX_ROUNDS = 200
+
 
 @dataclass(frozen=True)
 class EiState:
@@ -51,7 +57,10 @@ def _improvement(incumbent: float, mean: np.ndarray, var: np.ndarray) -> np.ndar
 
 
 def ei_value(state: EiState, z) -> float:
-    """Expected improvement at a single input."""
+    """Expected improvement at a single input.
+
+    The scalar form of :func:`ei_values`, kept for the acceptance checks.
+    """
     return float(ei_values(state, np.asarray(z, dtype=float).reshape(1, -1))[0])
 
 
@@ -63,21 +72,15 @@ def _sobol_candidates(dim: int, budget: int, rng_seed: int) -> np.ndarray:
         return sob.random(budget)
 
 
-def maximize_ei(
-    state: EiState,
-    budget: int = 2048,
-    rng_seed: int = 0,
-    n_refine: int = 5,
-    step_init: float = 0.05,
-    step_min: float = 1e-4,
-) -> np.ndarray:
+def maximize_ei(state: EiState, budget: int = 2048, rng_seed: int = 0) -> np.ndarray:
     """Approximate argmax of EI over the unit cube.
 
     Scores a seeded low-discrepancy candidate set plus the single best
     training input verbatim, then runs coordinate pattern search from the top
-    ``n_refine`` candidates with step halving. Deterministic given the seed;
-    the result never leaves [0, 1]^d and its EI is at least the best raw
-    candidate's.
+    ``_N_REFINE`` candidates, halving a start's step from ``_STEP_INIT``
+    until it falls below ``_STEP_MIN`` or ``_MAX_ROUNDS`` rounds have run.
+    Deterministic given the seed; the result never leaves [0, 1]^d and its
+    EI is at least the best raw candidate's.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -88,14 +91,13 @@ def maximize_ei(
     cand = np.vstack([cand, np.clip(best_seen, 0.0, 1.0)[None, :]])
     vals = ei_values(state, cand)
 
-    order = np.argsort(-vals, kind="stable")[: min(n_refine, cand.shape[0])]
+    order = np.argsort(-vals, kind="stable")[: min(_N_REFINE, cand.shape[0])]
     xs = cand[order].copy()
     fs = vals[order].copy()
-    steps = np.full(xs.shape[0], step_init)
+    steps = np.full(xs.shape[0], _STEP_INIT)
 
-    max_rounds = 200
-    for _ in range(max_rounds):
-        active = np.flatnonzero(steps >= step_min)
+    for _ in range(_MAX_ROUNDS):
+        active = np.flatnonzero(steps >= _STEP_MIN)
         if active.size == 0:
             break
         n_active = active.size

@@ -9,10 +9,11 @@ Set VIEWPLAN_THREADS to run experiment cells on that many threads.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import os
 import sys
+import typing
 from pathlib import Path
 
 from . import io as vio
@@ -21,7 +22,6 @@ from .gp import KERNEL_FAMILIES, FactorizationError
 from .planner import BoConfig, circular_baseline, run_bo, run_experiment
 from .reward import RewardParams
 from .scene import (
-    DEFAULT_SIGMA,
     LAYOUTS,
     NoiseModel,
     SceneSpec,
@@ -32,38 +32,34 @@ from .scene import (
 
 __all__ = ["main", "build_parser"]
 
-_KERNEL_CHOICES = ("rbf", "ard", "ard_rbf", "matern15", "matern25")
+# Command-line shorthands for kernel families.
+_KERNEL_ALIASES = {"ard": "ard_rbf"}
+_KERNEL_CHOICES = KERNEL_FAMILIES + tuple(_KERNEL_ALIASES)
 _DEFAULT_CAMERAS = {"single": 4, "row3": 6, "grid9": 6}
 # Keeps every default scene under 2000 points so a full experiment stays fast.
 _DEFAULT_POINTS = {"single": 600, "row3": 500, "grid9": 220}
 
+
+def _section(defaults, *unset) -> dict:
+    """Config section of a dataclass: its fields and their default values.
+
+    Nested dataclasses are left out (they have sections of their own), and
+    the ``unset`` fields default to None, to be resolved at run time.
+    """
+    out = {k: v for k, v in dataclasses.asdict(defaults).items() if not isinstance(v, dict)}
+    out.update(dict.fromkeys(unset))
+    return out
+
+
+# The config schema. Sections mirror the dataclasses; scene, camera count and
+# seeds left None are resolved from the layout and the optimizer seed.
 _DEFAULTS = {
-    "scene": {
-        "layout": "single",
-        "plant_spacing": 1.0,
-        "points_per_plant": None,
-        "base_height": 1.0,
-        "rng_seed": None,
-    },
-    "noise": {
-        "kind": "motion",
-        "sigma": DEFAULT_SIGMA,
-        "direction": [1.0, 0.0, 0.0],
-        "rng_seed": None,
-        "shared_draw": False,
-    },
-    "reward": {"fov": 0.5 * math.pi, "theta_match": 0.25 * math.pi},
-    "space": {"lower": [-2.5, -2.5, 0.05], "upper": [2.5, 2.5, 1.2]},
-    "bo": {
-        "n_cameras": None,
-        "n_init": 50,
-        "n_iters": 200,
-        "kernel": "matern25",
-        "rng_seed": 0,
-        "af_budget": 2048,
-        "refit_every": 0,
-        "resample_noise": False,
-    },
+    "scene": _section(SceneSpec(), "points_per_plant", "rng_seed"),
+    "scene_path": None,
+    "noise": _section(NoiseModel(), "rng_seed"),
+    "reward": _section(RewardParams()),
+    "space": _section(SearchSpace.default()),
+    "bo": _section(BoConfig(n_cameras=2), "n_cameras"),
     "kernels": list(KERNEL_FAMILIES),
     "realizations": 5,
     "baseline_candidates": 50,
@@ -136,10 +132,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _merge(base: dict, override: dict) -> dict:
     out = dict(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = value
+        if key not in out:
+            raise ValueError(f"unknown config key {key!r}; known keys: {', '.join(out)}")
+        if isinstance(out[key], dict):
+            if not isinstance(value, dict):
+                raise ValueError(f"config key {key!r} must hold an object")
+            value = _merge(out[key], value)
+        out[key] = value
     return out
 
 
@@ -147,10 +146,7 @@ def _load_config(args) -> dict:
     cfg = json.loads(json.dumps(_DEFAULTS))
     path = getattr(args, "config", None)
     if path:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError:
-            raise
+        text = Path(path).read_text(encoding="utf-8")
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as err:
@@ -177,7 +173,7 @@ def _load_config(args) -> dict:
     set_if(("realizations",), getattr(args, "realizations", None))
     kernel = getattr(args, "kernel", None)
     if kernel is not None:
-        cfg["bo"]["kernel"] = "ard_rbf" if kernel == "ard" else kernel
+        cfg["bo"]["kernel"] = _KERNEL_ALIASES.get(kernel, kernel)
     scene = getattr(args, "scene", None)
     if scene is not None:
         if scene in LAYOUTS:
@@ -201,86 +197,44 @@ def _load_config(args) -> dict:
     return cfg
 
 
+def _build(cls, section: dict, **resolved):
+    """``cls`` from its config section, float, int and bool fields cast."""
+    hints = typing.get_type_hints(cls)
+    kwargs = {**section, **resolved}
+    for key, value in kwargs.items():
+        if hints[key] in (float, int, bool):
+            kwargs[key] = hints[key](value)
+    return cls(**kwargs)
+
+
 def _typed(cfg: dict, layout: str | None = None):
-    scene_cfg = dict(cfg["scene"])
-    if layout is not None:
-        scene_cfg["layout"] = layout
-    if scene_cfg["points_per_plant"] is None:
-        scene_cfg["points_per_plant"] = _DEFAULT_POINTS.get(scene_cfg["layout"], 500)
-    spec = SceneSpec(
-        layout=scene_cfg["layout"],
-        plant_spacing=float(scene_cfg["plant_spacing"]),
-        points_per_plant=int(scene_cfg["points_per_plant"]),
-        base_height=float(scene_cfg["base_height"]),
-        rng_seed=int(scene_cfg["rng_seed"]),
-    )
-    noise = NoiseModel(
-        kind=cfg["noise"]["kind"],
-        sigma=float(cfg["noise"]["sigma"]),
-        direction=tuple(cfg["noise"]["direction"]),
-        rng_seed=int(cfg["noise"]["rng_seed"]),
-        shared_draw=bool(cfg["noise"]["shared_draw"]),
-    )
-    params = RewardParams(
-        fov=float(cfg["reward"]["fov"]), theta_match=float(cfg["reward"]["theta_match"])
-    )
-    space = SearchSpace(tuple(cfg["space"]["lower"]), tuple(cfg["space"]["upper"]))
+    if layout is None:
+        layout = cfg["scene"]["layout"]
+    points = cfg["scene"]["points_per_plant"]
+    if points is None:
+        points = _DEFAULT_POINTS.get(layout, 500)
+    spec = _build(SceneSpec, cfg["scene"], layout=layout, points_per_plant=points)
+    noise = _build(NoiseModel, cfg["noise"])
+    reward_params = _build(RewardParams, cfg["reward"])
+    space = _build(SearchSpace, cfg["space"])
     n_cameras = cfg["bo"]["n_cameras"]
     if n_cameras is None:
         n_cameras = _DEFAULT_CAMERAS.get(spec.layout, 4)
-    bo = BoConfig(
-        n_cameras=int(n_cameras),
-        n_init=int(cfg["bo"]["n_init"]),
-        n_iters=int(cfg["bo"]["n_iters"]),
-        kernel=cfg["bo"]["kernel"],
-        reward_params=params,
-        space=space,
-        rng_seed=int(cfg["bo"]["rng_seed"]),
-        af_budget=int(cfg["bo"]["af_budget"]),
-        refit_every=int(cfg["bo"]["refit_every"]),
-        resample_noise=bool(cfg["bo"]["resample_noise"]),
-    )
+    bo = _build(BoConfig, cfg["bo"], n_cameras=n_cameras, reward_params=reward_params, space=space)
     return spec, noise, bo
 
 
 def _echo(cfg: dict, spec: SceneSpec, noise: NoiseModel, bo: BoConfig) -> dict:
-    return {
-        "scene": {
-            "layout": spec.layout,
-            "plant_spacing": spec.plant_spacing,
-            "points_per_plant": spec.points_per_plant,
-            "base_height": spec.base_height,
-            "rng_seed": spec.rng_seed,
-        },
-        "scene_path": cfg.get("scene_path"),
-        "noise": {
-            "kind": noise.kind,
-            "sigma": noise.sigma,
-            "direction": list(noise.direction),
-            "rng_seed": noise.rng_seed,
-            "shared_draw": noise.shared_draw,
-        },
-        "reward": {
-            "fov": bo.reward_params.fov,
-            "theta_match": bo.reward_params.theta_match,
-        },
-        "space": {"lower": list(bo.space.lower), "upper": list(bo.space.upper)},
-        "bo": {
-            "n_cameras": bo.n_cameras,
-            "n_init": bo.n_init,
-            "n_iters": bo.n_iters,
-            "kernel": bo.kernel,
-            "rng_seed": bo.rng_seed,
-            "af_budget": bo.af_budget,
-            "refit_every": bo.refit_every,
-            "resample_noise": bo.resample_noise,
-        },
-        "kernels": list(cfg["kernels"]),
-        "realizations": cfg["realizations"],
-        "baseline_candidates": cfg["baseline_candidates"],
-        "realization_id": cfg["realization_id"],
-        "out_dir": cfg["out_dir"],
+    """The resolved configuration, in the schema of a config file."""
+    bo_fields = dataclasses.asdict(bo)
+    sections = {
+        "scene": dataclasses.asdict(spec),
+        "noise": dataclasses.asdict(noise),
+        "reward": bo_fields.pop("reward_params"),
+        "space": bo_fields.pop("space"),
+        "bo": bo_fields,
     }
+    return {**sections, **{key: cfg[key] for key in _DEFAULTS if key not in sections}}
 
 
 def _scene_cloud(cfg: dict, spec: SceneSpec):
@@ -409,7 +363,7 @@ def cmd_experiment(args) -> int:
         for k in (s.strip() for s in args.kernels.split(",")):
             if not k:
                 continue
-            k = "ard_rbf" if k == "ard" else k
+            k = _KERNEL_ALIASES.get(k, k)
             if k not in KERNEL_FAMILIES:
                 raise ValueError(f"unknown kernel {k!r}; choose from {KERNEL_FAMILIES}")
             kernels.append(k)

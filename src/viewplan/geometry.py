@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -14,7 +14,6 @@ __all__ = [
     "Placement",
     "PointCloud",
     "SearchSpace",
-    "angle_cosine",
     "encode",
     "decode",
 ]
@@ -51,27 +50,12 @@ class Point3:
         return cls(float(v[0]), float(v[1]), float(v[2]))
 
 
-def angle_cosine(a, b) -> float:
-    """Cosine of the angle between two vectors, clamped to [-1, 1].
-
-    Raises ValueError if either vector is (numerically) zero.
-    """
-    av = np.asarray(a, dtype=float).reshape(-1)
-    bv = np.asarray(b, dtype=float).reshape(-1)
-    na = float(np.linalg.norm(av))
-    nb = float(np.linalg.norm(bv))
-    if na < 1e-12 or nb < 1e-12:
-        raise ValueError("angle undefined for zero-length vector")
-    c = float(np.dot(av, bv)) / (na * nb)
-    return min(1.0, max(-1.0, c))
-
-
 @dataclass(frozen=True)
 class CameraPose:
     """Camera position plus its unit view axis.
 
     Sign convention: ``orientation`` is the axis for which in-view points p
-    satisfy angle_cosine(position - p, orientation) >= cos(fov/2), i.e. it
+    make an angle of at most fov/2 between ``position - p`` and it, i.e. it
     points from the viewed scene back toward the camera. Use
     :meth:`looking_at` to build a pose from the everyday "camera looks at
     target" description; it stores the negated viewing direction so the
@@ -204,10 +188,6 @@ class SearchSpace:
 
     def extent(self) -> np.ndarray:
         return np.array(self.upper) - np.array(self.lower)
-
-    def contains(self, position) -> bool:
-        p = _as_vec3(position)
-        return bool(np.all(p >= np.array(self.lower)) and np.all(p <= np.array(self.upper)))
 
 
 def encode(placement: Placement, space: SearchSpace) -> np.ndarray:

@@ -1,17 +1,17 @@
 """Gaussian process surrogate: kernels, exact inference, likelihood fitting.
 
 Inference follows the standard Cholesky route. Targets are optionally
-standardized to zero mean / unit variance before factorization; the
-transform is recorded at construction and inverted on prediction, and it is
-deliberately frozen when later observations are appended so the fitted
-hyperparameters keep their meaning.
+standardized to zero mean / unit variance before factorization and the
+transform is inverted on prediction. Appending an observation keeps the
+hyperparameters but recomputes the transform over all targets (see
+:meth:`GpModel.add_observation`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -21,10 +21,8 @@ from scipy.spatial.distance import cdist
 __all__ = [
     "KERNEL_FAMILIES",
     "KernelSpec",
-    "Posterior",
     "GpModel",
     "FactorizationError",
-    "kernel_eval",
     "kernel_matrix",
 ]
 
@@ -39,6 +37,8 @@ _JITTERS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 _LS_BOUNDS = (1e-3, 10.0)
 _VAR_BOUNDS = (1e-4, 10.0)
 _NOISE_BOUNDS = (1e-8, 1.0)
+# Start points of the multi-start likelihood fit.
+_FIT_STARTS = 8
 
 
 class FactorizationError(RuntimeError):
@@ -120,11 +120,10 @@ def kernel_matrix(spec: KernelSpec, a, b=None) -> np.ndarray:
     return _kernel_of_sqdist(spec, _scaled_sqdist(spec, a, b))
 
 
-def kernel_eval(spec: KernelSpec, a, b) -> float:
-    """Covariance between two single inputs."""
-    a = np.asarray(a, dtype=float).reshape(1, -1)
-    b = np.asarray(b, dtype=float).reshape(1, -1)
-    return float(kernel_matrix(spec, a, b)[0, 0])
+def _standardization(y: np.ndarray) -> tuple[float, float]:
+    """Mean and scale of the targets; constant targets get scale 1."""
+    scale = float(y.std())
+    return float(y.mean()), (scale if scale > 1e-12 else 1.0)
 
 
 def _chol_with_jitter(k: np.ndarray):
@@ -138,18 +137,6 @@ def _chol_with_jitter(k: np.ndarray):
         except np.linalg.LinAlgError:
             continue
     raise FactorizationError(last)
-
-
-@dataclass(frozen=True)
-class Posterior:
-    """Predictive mean and (nonnegative) variance at one input."""
-
-    mean: float
-    variance: float
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
 
 
 class GpModel:
@@ -181,13 +168,7 @@ class GpModel:
         self.kernel = kernel
         self.noise_variance = float(noise_variance)
         self.standardize = bool(standardize)
-        if standardize:
-            self._y_mean = float(y.mean())
-            scale = float(y.std())
-            self._y_scale = scale if scale > 1e-12 else 1.0
-        else:
-            self._y_mean = 0.0
-            self._y_scale = 1.0
+        self._y_mean, self._y_scale = _standardization(y) if standardize else (0.0, 1.0)
         self._z = z.copy()
         self._y = y.copy()
         self._refactor()
@@ -315,10 +296,6 @@ class GpModel:
         mean, var = self.posterior_batch(rows, _sqdist=d2)
         return rows, mean, var
 
-    def posterior(self, z) -> Posterior:
-        mean, var = self.posterior_batch(np.asarray(z, dtype=float).reshape(1, -1))
-        return Posterior(float(mean[0]), float(var[0]))
-
     def log_marginal_likelihood(self) -> float:
         """Exact data log likelihood on the working (standardized) scale."""
         yw = self._y_working
@@ -348,59 +325,16 @@ class GpModel:
         self._z = np.vstack([self._z, zq])
         self._y = np.append(self._y, float(y))
         if self.standardize:
-            self._y_mean = float(self._y.mean())
-            scale = float(self._y.std())
-            self._y_scale = scale if scale > 1e-12 else 1.0
+            self._y_mean, self._y_scale = _standardization(self._y)
         # A pivot that is not positive needs the jitter escalation of a full
         # refactorization.
         if not self._extend_factor(k_new):
             self._refactor()
 
-    # -- serialization ---------------------------------------------------
-
-    def to_dict(self) -> dict:
-        ls = self.kernel.lengthscales
-        return {
-            "kernel": {
-                "family": self.kernel.family,
-                "output_variance": self.kernel.output_variance,
-                "lengthscales": ls.tolist() if isinstance(ls, np.ndarray) else ls,
-            },
-            "noise_variance": self.noise_variance,
-            "standardize": self.standardize,
-            "inputs": self._z.tolist(),
-            "targets": self._y.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "GpModel":
-        kern = payload["kernel"]
-        ls = kern["lengthscales"]
-        spec = KernelSpec(
-            kern["family"],
-            float(kern["output_variance"]),
-            np.asarray(ls, dtype=float) if isinstance(ls, list) else float(ls),
-        )
-        return cls(
-            spec,
-            float(payload["noise_variance"]),
-            np.asarray(payload["inputs"], dtype=float),
-            np.asarray(payload["targets"], dtype=float),
-            standardize=bool(payload["standardize"]),
-        )
-
     # -- fitting ---------------------------------------------------------
 
     @classmethod
-    def fit(
-        cls,
-        inputs,
-        targets,
-        family: str = "matern25",
-        seed: int = 0,
-        n_starts: int = 8,
-        standardize: bool = True,
-    ) -> "GpModel":
+    def fit(cls, inputs, targets, family: str = "matern25", seed: int = 0) -> "GpModel":
         """Maximum-likelihood hyperparameters via multi-start bounded L-BFGS.
 
         The optimization runs in log space with analytic gradients. The
@@ -416,12 +350,7 @@ class GpModel:
         dim = z.shape[1]
         n_ls = dim if family == "ard_rbf" else 1
 
-        if standardize:
-            y_mean = float(y.mean())
-            scale = float(y.std())
-            y_scale = scale if scale > 1e-12 else 1.0
-        else:
-            y_mean, y_scale = 0.0, 1.0
+        y_mean, y_scale = _standardization(y)
         yw = (y - y_mean) / y_scale
 
         bounds = (
@@ -432,7 +361,7 @@ class GpModel:
         lo = np.array([b[0] for b in bounds])
         hi = np.array([b[1] for b in bounds])
 
-        starts = _fit_starts(n_ls, n_starts, seed, lo, hi)
+        starts = _fit_starts(n_ls, seed, lo, hi)
 
         def objective(theta: np.ndarray):
             value, grad = _mll_and_grad(theta, z, yw, family, n_ls)
@@ -463,14 +392,14 @@ class GpModel:
             float(np.exp(best_theta[n_ls])),
             ls if n_ls > 1 else float(ls[0]),
         )
-        return cls(spec, float(np.exp(best_theta[n_ls + 1])), z, y, standardize=standardize)
+        return cls(spec, float(np.exp(best_theta[n_ls + 1])), z, y)
 
 
-def _fit_starts(n_ls: int, n_starts: int, seed, lo: np.ndarray, hi: np.ndarray):
+def _fit_starts(n_ls: int, seed, lo: np.ndarray, hi: np.ndarray):
     """Deterministic multi-start points in log-hyperparameter space."""
     rng = np.random.default_rng(seed)
     starts = [np.concatenate([np.full(n_ls, math.log(0.5)), [0.0, math.log(1e-2)]])]
-    while len(starts) < n_starts:
+    while len(starts) < _FIT_STARTS:
         starts.append(rng.uniform(lo, hi))
     return starts
 

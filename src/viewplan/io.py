@@ -12,8 +12,8 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import CameraPose, Placement, Point3, PointCloud
-from .planner import BaselineResult, ExperimentReport, RegretTrace
+from .geometry import Placement, PointCloud
+from .planner import ExperimentReport, RegretTrace
 
 __all__ = [
     "write_ply",
@@ -21,7 +21,6 @@ __all__ = [
     "write_json",
     "read_json",
     "placement_to_dict",
-    "placement_from_dict",
     "write_trace_csv",
     "write_report_csv",
     "write_mean_regret_csv",
@@ -105,14 +104,6 @@ def placement_to_dict(placement: Placement) -> dict:
             for c in placement.cameras
         ]
     }
-
-
-def placement_from_dict(payload: dict) -> Placement:
-    cams = tuple(
-        CameraPose(Point3(*entry["position"]), Point3(*entry["orientation"]))
-        for entry in payload["cameras"]
-    )
-    return Placement(cams)
 
 
 def _write_csv(path: PathLike, header: list, rows) -> None:

@@ -394,9 +394,6 @@ class ExperimentReport:
             return float("nan")
         return float(np.mean([b.final_regret() for b in self.baselines.values()]))
 
-    def n_failed(self) -> int:
-        return len(self.errors)
-
     def n_cells(self) -> int:
         return len(self.kernels) * self.n_realizations + self.n_realizations
 

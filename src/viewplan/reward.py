@@ -15,17 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraPose, Placement, Point3, PointCloud, angle_cosine
+from .geometry import Placement, PointCloud
 
-__all__ = [
-    "RewardParams",
-    "pair_quality",
-    "fov_condition",
-    "match_condition",
-    "pair_visibility",
-    "reward",
-    "noisy_reward",
-]
+__all__ = ["RewardParams", "reward", "noisy_reward"]
 
 # Cameras this close to a point make the ray direction meaningless.
 COINCIDENT_EPS = 1e-12
@@ -43,46 +35,6 @@ class RewardParams:
             raise ValueError("fov must lie in (0, 2*pi)")
         if not (0.0 < self.theta_match < 0.5 * math.pi):
             raise ValueError("theta_match must lie in (0, pi/2)")
-
-
-def _ray(cam: CameraPose, p: Point3) -> np.ndarray:
-    d = cam.position.as_array() - p.as_array()
-    if float(np.linalg.norm(d)) < COINCIDENT_EPS:
-        raise ValueError("camera coincides with a scene point")
-    return d
-
-
-def pair_quality(cam_i: CameraPose, cam_j: CameraPose, p: Point3) -> float:
-    """Sine of the angle between the rays from p to the two cameras."""
-    di = _ray(cam_i, p)
-    dj = _ray(cam_j, p)
-    s = float(np.linalg.norm(np.cross(di, dj))) / (
-        float(np.linalg.norm(di)) * float(np.linalg.norm(dj))
-    )
-    return min(1.0, max(0.0, s))
-
-
-def fov_condition(cam: CameraPose, p: Point3, params: RewardParams) -> bool:
-    """True when p lies inside the camera's view cone (non-strict)."""
-    d = _ray(cam, p)
-    return angle_cosine(d, cam.orientation.as_array()) >= math.cos(0.5 * params.fov)
-
-
-def match_condition(cam_i: CameraPose, cam_j: CameraPose, p: Point3, params: RewardParams) -> bool:
-    """True when the two rays from p separate by at most theta_match."""
-    di = _ray(cam_i, p)
-    dj = _ray(cam_j, p)
-    return angle_cosine(di, dj) >= math.cos(params.theta_match)
-
-
-def pair_visibility(cam_i: CameraPose, cam_j: CameraPose, p: Point3, params: RewardParams) -> int:
-    """1 when p is in both view cones and the rays are matchable, else 0."""
-    ok = (
-        fov_condition(cam_i, p, params)
-        and fov_condition(cam_j, p, params)
-        and match_condition(cam_i, cam_j, p, params)
-    )
-    return 1 if ok else 0
 
 
 def reward(placement: Placement, cloud: PointCloud, params: RewardParams) -> float:
@@ -122,5 +74,9 @@ def reward(placement: Placement, cloud: PointCloud, params: RewardParams) -> flo
 
 
 def noisy_reward(placement: Placement, noisy_cloud: PointCloud, params: RewardParams) -> float:
-    """Reward evaluated on a perturbed cloud; the optimization objective."""
+    """Reward evaluated on a perturbed cloud; the optimization objective.
+
+    A name of its own so that the optimizer's evaluations can be patched or
+    traced apart from every other reward call.
+    """
     return reward(placement, noisy_cloud, params)

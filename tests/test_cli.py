@@ -218,6 +218,44 @@ class TestExperiment:
         assert summary["config"]["bo"]["n_iters"] == 30
 
 
+class TestConfig:
+    @pytest.mark.parametrize(
+        "payload, key",
+        [({"bo": {"n_iter": 3}}, "n_iter"), ({"realisations": 2}, "realisations")],
+        ids=["in_section", "top_level"],
+    )
+    def test_unknown_key_is_rejected(self, tmp_path, capsys, payload, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        code = run("generate-scene", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert key in capsys.readouterr().err
+
+    def test_int_in_float_field_echoes_as_float(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "scene": {"plant_spacing": 1, "points_per_plant": 15},
+            "noise": {"sigma": 0},
+        }))
+        out = tmp_path / "out"
+        assert run("generate-scene", "--config", str(cfg), "--out", str(out)) == 0
+        text = (out / "scene_single.json").read_text()
+        assert '"plant_spacing": 1.0' in text
+        assert '"sigma": 0.0' in text
+
+    def test_echo_fed_back_reproduces_the_run(self, tmp_path, tiny_config):
+        out = tmp_path / "out"
+        names = ("single_report.csv", "single_mean_regret.csv", "single_summary.json")
+        assert run("experiment", "--scenes", "single", "--kernels", "rbf", "--seed", "2",
+                   "--config", tiny_config, "--out", str(out)) == 0
+        first = {name: (out / name).read_bytes() for name in names}
+        echo = tmp_path / "echo.json"
+        echo.write_text(json.dumps(read_json(out / "single_summary.json")["config"]))
+        assert run("experiment", "--scenes", "single", "--config", str(echo)) == 0
+        for name, body in first.items():
+            assert (out / name).read_bytes() == body
+
+
 class TestExitCodes:
     def test_no_command_is_usage_error(self, capsys):
         assert run() == 1

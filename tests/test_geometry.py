@@ -9,7 +9,6 @@ from viewplan import (
     Point3,
     PointCloud,
     SearchSpace,
-    angle_cosine,
     decode,
     encode,
 )
@@ -29,31 +28,6 @@ class TestPoint3:
     def test_array_roundtrip(self):
         p = Point3(1.0, -2.0, 3.5)
         assert Point3.from_array(p.as_array()) == p
-
-
-class TestAngleCosine:
-    def test_parallel(self):
-        assert angle_cosine((1.0, 0.0, 0.0), (2.0, 0.0, 0.0)) == 1.0
-
-    def test_orthogonal(self):
-        assert angle_cosine((1.0, 0.0, 0.0), (0.0, 3.0, 0.0)) == 0.0
-
-    def test_opposite(self):
-        assert angle_cosine((1.0, 0.0, 0.0), (-5.0, 0.0, 0.0)) == -1.0
-
-    def test_zero_vector_raises(self):
-        with pytest.raises(ValueError):
-            angle_cosine((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
-
-    def test_symmetric_and_scale_invariant(self):
-        rng = np.random.default_rng(42)
-        for _ in range(200):
-            a = rng.normal(size=3)
-            b = rng.normal(size=3)
-            s = rng.uniform(0.1, 50.0)
-            assert angle_cosine(a, b) == angle_cosine(b, a)
-            assert angle_cosine(s * a, b) == pytest.approx(angle_cosine(a, b), abs=1e-12)
-            assert -1.0 <= angle_cosine(a, b) <= 1.0
 
 
 class TestCameraPose:
@@ -123,11 +97,6 @@ class TestSearchSpace:
     def test_bounds_must_be_ordered(self):
         with pytest.raises(ValueError):
             SearchSpace((0.0, 0.0, 0.0), (1.0, -1.0, 1.0))
-
-    def test_contains(self):
-        space = SearchSpace.default()
-        assert space.contains((0.0, 0.0, 1.0))
-        assert not space.contains((9.0, 0.0, 1.0))
 
 
 class TestEncodeDecode:

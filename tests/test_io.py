@@ -6,11 +6,11 @@ from viewplan import (
     CameraPose,
     ExperimentReport,
     Placement,
+    Point3,
     PointCloud,
     RegretTrace,
 )
 from viewplan.io import (
-    placement_from_dict,
     placement_to_dict,
     read_json,
     read_ply,
@@ -103,12 +103,11 @@ class TestPlacementDict:
             CameraPose.looking_at((-2.0, 0.5, 1.0), (0.0, 0.0, 0.5)),
         )
         placement = Placement(cams)
-        back = placement_from_dict(placement_to_dict(placement))
-        for orig, copy in zip(placement.cameras, back.cameras):
-            assert orig.position == copy.position
-            assert np.allclose(
-                orig.orientation.as_array(), copy.orientation.as_array(), atol=1e-12
-            )
+        entries = placement_to_dict(placement)["cameras"]
+        assert len(entries) == len(placement)
+        for cam, entry in zip(placement.cameras, entries):
+            assert Point3(*entry["position"]) == cam.position
+            assert np.allclose(entry["orientation"], cam.orientation.as_array(), atol=1e-12)
 
     def test_both_axis_conventions_present(self):
         placement = Placement(

@@ -11,7 +11,6 @@ from viewplan import (
     RegretTrace,
     SceneSpec,
     SearchSpace,
-    angle_cosine,
     apply_noise,
     circular_baseline,
     decode,
@@ -161,9 +160,9 @@ class TestRunBo:
             placement = decode(z, SMALL_CFG.space)
             assert noisy_reward(placement, SMALL_CLOUD, SMALL_CFG.reward_params) == y
             for cam in placement.cameras:
-                tilt = math.acos(angle_cosine(cam.orientation.as_array(),
-                                              cam.position.as_array() - centroid))
-                assert tilt <= math.pi / 4 + 1e-9
+                to_cam = cam.position.as_array() - centroid
+                cos_tilt = cam.orientation.as_array() @ to_cam / np.linalg.norm(to_cam)
+                assert math.acos(min(1.0, cos_tilt)) <= math.pi / 4 + 1e-9
 
     def test_meta_records_kernel_and_seed(self):
         trace = run_bo(SMALL_CFG, SMALL_CLOUD, meta={"scene": "s"})
@@ -281,7 +280,6 @@ class TestRunExperiment:
         }
         assert set(report.baselines) == {0, 1}
         assert report.errors == {}
-        assert report.n_failed() == 0
         assert report.n_cells() == 2 * 2 + 2
         for trace in report.traces.values():
             assert len(trace) == SMALL_CFG.n_init + SMALL_CFG.n_iters

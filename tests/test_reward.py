@@ -13,23 +13,51 @@ from viewplan import (
     PointCloud,
     RewardParams,
     apply_noise,
-    fov_condition,
     generate_scene,
-    match_condition,
     noisy_reward,
-    pair_quality,
-    pair_visibility,
     reward,
     sample_realization,
     NoiseModel,
     SceneSpec,
 )
 
-ORIGIN = Point3(0.0, 0.0, 0.0)
+ORIGIN = (0.0, 0.0, 0.0)
 
 
 def pose(position, axis):
     return CameraPose(Point3(*position), Point3(*axis))
+
+
+def one_point(cam_i, cam_j, p=ORIGIN):
+    """Two-camera placement and one-point cloud: the reward is p's pair term."""
+    return Placement((cam_i, cam_j)), PointCloud(np.array([p], dtype=float))
+
+
+def pair_reward(cam_i, cam_j, p=ORIGIN, params=RewardParams()):
+    """Reward of one camera pair on the cloud {p}, checked against the oracle."""
+    value = reward(*one_point(cam_i, cam_j, p), params)
+    cams = (cam_i, cam_j)
+    want = reward_bruteforce(
+        [c.position.as_array() for c in cams],
+        [c.orientation.as_array() for c in cams],
+        [p],
+        params.fov,
+        params.theta_match,
+    )
+    assert value == pytest.approx(want, abs=1e-12)
+    return value
+
+
+def partner(cam, p, angle=0.3):
+    """Camera looking at p whose ray from p is ``angle`` away from cam's.
+
+    It always sees p and its ray stays matchable with cam's, so a pair with
+    it scores above zero exactly when cam's view cone holds p.
+    """
+    ray = cam.position.as_array() - np.asarray(p)
+    c, s = math.cos(angle), math.sin(angle)
+    turned = np.array([c * ray[0] - s * ray[1], s * ray[0] + c * ray[1], ray[2]])
+    return CameraPose.looking_at(np.asarray(p) + turned, p)
 
 
 class TestRewardParams:
@@ -48,108 +76,131 @@ class TestRewardParams:
 
 
 class TestPairQuality:
+    """A matchable pair in view scores the sine of its ray separation."""
+
     def test_orthogonal_rays(self):
-        ci = pose((1.0, 0.0, 0.0), (1, 0, 0))
-        cj = pose((0.0, 1.0, 0.0), (1, 0, 0))
-        assert pair_quality(ci, cj, ORIGIN) == pytest.approx(1.0, abs=1e-12)
+        # 90 degrees itself is never matchable (theta_match < pi/2), so come
+        # within 1e-6 rad of it under the widest threshold
+        t = 0.5 * math.pi - 1e-6
+        ci = CameraPose.looking_at((1.0, 0.0, 0.0), ORIGIN)
+        cj = CameraPose.looking_at((math.cos(t), math.sin(t), 0.0), ORIGIN)
+        params = RewardParams(theta_match=0.5 * math.pi - 1e-7)
+        assert pair_reward(ci, cj, params=params) == pytest.approx(1.0, abs=1e-12)
 
     def test_collinear_rays(self):
         ci = pose((1.0, 0.0, 0.0), (1, 0, 0))
         cj = pose((2.0, 0.0, 0.0), (1, 0, 0))
-        assert pair_quality(ci, cj, ORIGIN) == pytest.approx(0.0, abs=1e-12)
+        assert pair_reward(ci, cj) == pytest.approx(0.0, abs=1e-12)
 
     def test_thirty_degrees(self):
         t = math.pi / 6.0
         ci = pose((1.0, 0.0, 0.0), (1, 0, 0))
         cj = pose((math.cos(t), math.sin(t), 0.0), (1, 0, 0))
-        assert pair_quality(ci, cj, ORIGIN) == pytest.approx(0.5, abs=1e-12)
+        assert pair_reward(ci, cj) == pytest.approx(0.5, abs=1e-12)
 
     def test_symmetric_in_cameras(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             positions, axes, points = random_instance(rng, 2, 1)
             ci, cj = (pose(p, a) for p, a in zip(positions, axes))
-            p = Point3(*points[0])
-            assert pair_quality(ci, cj, p) == pair_quality(cj, ci, p)
-            assert 0.0 <= pair_quality(ci, cj, p) <= 1.0
+            value = pair_reward(ci, cj, points[0])
+            assert pair_reward(cj, ci, points[0]) == value
+            assert 0.0 <= value <= 1.0
 
     def test_coincident_camera_raises(self):
-        ci = pose((0.0, 0.0, 0.0), (1, 0, 0))
-        cj = pose((1.0, 0.0, 0.0), (1, 0, 0))
+        # the second camera of the pair sits on the point
+        ci = pose((1.0, 0.0, 0.0), (1, 0, 0))
+        cj = pose((0.0, 0.0, 0.0), (1, 0, 0))
         with pytest.raises(ValueError):
-            pair_quality(ci, cj, ORIGIN)
+            reward(*one_point(ci, cj), RewardParams())
 
 
 class TestFovCondition:
+    """A pair scores only when both view cones hold the point."""
+
     def test_point_in_front_of_view_axis(self):
         # axis points from the scene back toward the camera
         cam = pose((0.0, 0.0, 0.0), (-1.0, 0.0, 0.0))
-        assert fov_condition(cam, Point3(1.0, 0.0, 0.0), RewardParams()) is True
+        p = (1.0, 0.0, 0.0)
+        assert pair_reward(cam, partner(cam, p), p) > 0.0
 
     def test_point_just_outside_cone(self):
         cam = pose((0.0, 0.0, 0.0), (-1.0, 0.0, 0.0))
-        p = Point3(1.0, 1.01 * math.tan(math.pi / 4.0), 0.0)
-        assert fov_condition(cam, p, RewardParams()) is False
+        p = (1.0, 1.01 * math.tan(math.pi / 4.0), 0.0)
+        assert pair_reward(cam, partner(cam, p), p) == 0.0
 
     def test_boundary_is_inclusive(self):
-        # constants chosen so the computed cosine bit-equals cos(fov/2)
+        # constants chosen so the cosine computed as reward() does bit-equals
+        # cos(fov/2)
         t = 1.0
         u = np.array([math.cos(t), math.sin(t), 0.0])
-        q = float(np.dot(u, [1.0, 0.0, 0.0])) / float(np.linalg.norm(u))
+        diff = u[None, None, :]
+        axis = np.array([[1.0, 0.0, 0.0]])
+        q = float((np.einsum("npk,nk->np", diff, axis) / np.linalg.norm(diff, axis=2))[0, 0])
         fov = 2.0 * math.acos(q)
         assert math.cos(0.5 * fov) == q  # precondition for the boundary check
         cam = pose((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
-        p = Point3(*(-u))
-        params = RewardParams(fov=fov)
-        assert fov_condition(cam, p, params) is True
+        p = tuple(-u)
+        placement, cloud = one_point(cam, partner(cam, p), p)
+        on_boundary = reward(placement, cloud, RewardParams(fov=fov))
+        assert on_boundary > 0.0
+        assert on_boundary == reward(placement, cloud, RewardParams(fov=fov + 0.1))
 
     def test_behind_camera_axis(self):
         cam = pose((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
-        assert fov_condition(cam, Point3(1.0, 0.0, 0.0), RewardParams()) is False
+        p = (1.0, 0.0, 0.0)
+        assert pair_reward(cam, partner(cam, p), p) == 0.0
 
 
 class TestMatchCondition:
+    """A pair scores only when its rays separate by at most theta_match."""
+
     def test_small_separation_matches(self):
         t = math.pi / 6.0
-        ci = pose((1.0, 0.0, 0.0), (1, 0, 0))
-        cj = pose((math.cos(t), math.sin(t), 0.0), (1, 0, 0))
-        assert match_condition(ci, cj, ORIGIN, RewardParams()) is True
+        ci = CameraPose.looking_at((1.0, 0.0, 0.0), ORIGIN)
+        cj = CameraPose.looking_at((math.cos(t), math.sin(t), 0.0), ORIGIN)
+        assert pair_reward(ci, cj) > 0.0
 
     def test_wide_separation_fails(self):
         t = math.radians(46.0)
-        ci = pose((1.0, 0.0, 0.0), (1, 0, 0))
-        cj = pose((math.cos(t), math.sin(t), 0.0), (1, 0, 0))
-        assert match_condition(ci, cj, ORIGIN, RewardParams()) is False
+        ci = CameraPose.looking_at((1.0, 0.0, 0.0), ORIGIN)
+        cj = CameraPose.looking_at((math.cos(t), math.sin(t), 0.0), ORIGIN)
+        assert pair_reward(ci, cj) == 0.0
 
     def test_boundary_is_inclusive(self):
+        # constants chosen so the ray cosine computed as reward() does
+        # bit-equals cos(theta_match)
         t = 0.7
         d2 = np.array([math.cos(t), math.sin(t), 0.0])
-        q = float(np.dot([1.0, 0.0, 0.0], d2)) / float(np.linalg.norm(d2))
+        diff = np.array([[[1.0, 0.0, 0.0]], [d2]])
+        dist = np.linalg.norm(diff, axis=2)
+        q = float((np.einsum("pk,pk->p", diff[0], diff[1]) / (dist[0] * dist[1]))[0])
         theta = math.acos(q)
         assert math.cos(theta) == q  # precondition for the boundary check
         ci = pose((1.0, 0.0, 0.0), (1, 0, 0))
         cj = pose(tuple(d2), (1, 0, 0))
-        assert match_condition(ci, cj, ORIGIN, RewardParams(theta_match=theta)) is True
+        placement, cloud = one_point(ci, cj)
+        on_boundary = reward(placement, cloud, RewardParams(theta_match=theta))
+        assert on_boundary > 0.0
+        assert on_boundary == reward(placement, cloud, RewardParams(theta_match=theta + 0.05))
 
 
 class TestPairVisibility:
     def test_visible_matching_pair(self):
-        p = ORIGIN
-        ci = CameraPose.looking_at((2.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-        cj = CameraPose.looking_at((2.0 * math.cos(0.3), 2.0 * math.sin(0.3), 0.0), (0.0, 0.0, 0.0))
-        assert pair_visibility(ci, cj, p, RewardParams()) == 1
+        ci = CameraPose.looking_at((2.0, 0.0, 0.0), ORIGIN)
+        cj = CameraPose.looking_at((2.0 * math.cos(0.3), 2.0 * math.sin(0.3), 0.0), ORIGIN)
+        assert pair_reward(ci, cj) == pytest.approx(math.sin(0.3), abs=1e-12)
 
     def test_one_camera_looking_away(self):
-        p = ORIGIN
-        ci = CameraPose.looking_at((2.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+        ci = CameraPose.looking_at((2.0, 0.0, 0.0), ORIGIN)
         cj = pose((2.0 * math.cos(0.3), 2.0 * math.sin(0.3), 0.0), (-1.0, 0.0, 0.0))
-        assert pair_visibility(ci, cj, p, RewardParams()) == 0
+        assert pair_reward(ci, cj) == 0.0
 
     def test_rays_too_far_apart(self):
-        p = ORIGIN
-        ci = CameraPose.looking_at((2.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-        cj = CameraPose.looking_at((0.0, 2.0, 0.0), (0.0, 0.0, 0.0))
-        assert pair_visibility(ci, cj, p, RewardParams()) == 0
+        # exactly 90 degrees apart: the sine would be 1, but no pair this wide matches
+        ci = CameraPose.looking_at((2.0, 0.0, 0.0), ORIGIN)
+        cj = CameraPose.looking_at((0.0, 2.0, 0.0), ORIGIN)
+        assert pair_reward(ci, cj) == 0.0
 
 
 class TestReward:
@@ -162,15 +213,13 @@ class TestReward:
         assert reward(Placement(cams), cloud, RewardParams()) == 0.0
 
     def test_single_pair_single_point_equals_pair_quality(self):
-        p = ORIGIN
-        ci = CameraPose.looking_at((2.0, 0.0, 0.5), (0.0, 0.0, 0.0))
-        cj = CameraPose.looking_at((2.0 * math.cos(0.35), 2.0 * math.sin(0.35), 0.5), (0.0, 0.0, 0.0))
-        placement = Placement((ci, cj))
-        cloud = PointCloud(np.array([[0.0, 0.0, 0.0]]))
-        assert pair_visibility(ci, cj, p, RewardParams()) == 1
-        assert reward(placement, cloud, RewardParams()) == pytest.approx(
-            pair_quality(ci, cj, p), abs=1e-15
-        )
+        # the pair quality is the sine of the angle between the two rays
+        di = np.array([2.0, 0.0, 0.5])
+        dj = np.array([2.0 * math.cos(0.35), 2.0 * math.sin(0.35), 0.5])
+        ci = CameraPose.looking_at(di, ORIGIN)
+        cj = CameraPose.looking_at(dj, ORIGIN)
+        sine = np.linalg.norm(np.cross(di, dj)) / (np.linalg.norm(di) * np.linalg.norm(dj))
+        assert reward(*one_point(ci, cj), RewardParams()) == pytest.approx(sine, abs=1e-15)
 
     def test_three_cameras_two_points_vs_bruteforce(self):
         positions = [(2.0, 0.0, 0.4), (0.0, 2.0, 0.4), (1.5, 1.5, 0.6)]
