@@ -3,7 +3,6 @@
 Commands: generate-scene, plan, baseline, experiment. Exit codes: 0 success,
 1 usage or configuration problem, 2 file I/O problem, 3 numerical failure.
 Outputs always embed the fully resolved configuration, defaults included.
-Set VIEWPLAN_THREADS to run experiment cells on that many threads.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import typing
 from pathlib import Path
@@ -198,11 +196,16 @@ def _load_config(args) -> dict:
 
 
 def _build(cls, section: dict, **resolved):
-    """``cls`` from its config section, float, int and bool fields cast."""
+    """``cls`` from its config section, float and int fields cast.
+
+    A bool field takes only ``true`` or ``false``; ``bool("false")`` is true.
+    """
     hints = typing.get_type_hints(cls)
     kwargs = {**section, **resolved}
     for key, value in kwargs.items():
-        if hints[key] in (float, int, bool):
+        if hints[key] is bool and not isinstance(value, bool):
+            raise ValueError(f"config key {key!r} must be true or false, got {value!r}")
+        if hints[key] in (float, int):
             kwargs[key] = hints[key](value)
     return cls(**kwargs)
 
@@ -250,19 +253,6 @@ def _scene_cloud(cfg: dict, spec: SceneSpec):
         except ValueError as err:
             raise _FileFormatError(str(err)) from None
     return generate_scene(spec), spec.layout
-
-
-def _threads() -> int:
-    raw = os.environ.get("VIEWPLAN_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"VIEWPLAN_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError("VIEWPLAN_THREADS must be at least 1")
-    return value
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -368,7 +358,6 @@ def cmd_experiment(args) -> int:
                 raise ValueError(f"unknown kernel {k!r}; choose from {KERNEL_FAMILIES}")
             kernels.append(k)
         cfg["kernels"] = kernels
-    workers = _threads()
     out = _out_dir(cfg)
 
     exit_code = 0
@@ -384,7 +373,6 @@ def cmd_experiment(args) -> int:
             n_realizations=int(cfg["realizations"]),
             n_baseline=int(cfg["baseline_candidates"]),
             scene_label=label,
-            max_workers=workers,
         )
         report.config = _echo(cfg, spec, noise, bo)
         vio.write_report_csv(out / f"{label}_report.csv", report)
@@ -441,7 +429,7 @@ def main(argv=None) -> int:
         return int(err.code or 0)
     try:
         return args.func(args)
-    except (ValueError, NotImplementedError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except _FileFormatError as err:

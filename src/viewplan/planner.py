@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -398,6 +397,10 @@ class ExperimentReport:
         return len(self.kernels) * self.n_realizations + self.n_realizations
 
 
+# Failures that mark one experiment cell as failed; anything else is a bug.
+_CELL_ERRORS = (ValueError, FactorizationError)
+
+
 def _cell_seed(master: int, spawn_key: Tuple[int, ...]) -> int:
     return int(np.random.SeedSequence(master, spawn_key=spawn_key).generate_state(1)[0])
 
@@ -410,15 +413,15 @@ def run_experiment(
     n_realizations: int = 5,
     n_baseline: int = 50,
     scene_label: str = "scene",
-    max_workers: int = 1,
 ) -> ExperimentReport:
     """Paired regret comparison over noise realizations and kernels.
 
     Every method (and the baseline) sees the identical noisy cloud within a
     realization. The whole grid is a pure function of the seeds in
-    ``base_config``, ``noise_model`` and the scene itself; cells run
-    independently, optionally across ``max_workers`` threads, and one
-    failing cell only annotates the report.
+    ``base_config``, ``noise_model`` and the scene itself. Cells run one
+    after another; a cell that fails on bad input or a numerical failure
+    (``ValueError``, ``FactorizationError``) only annotates the report, and
+    any other exception propagates.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be at least 1")
@@ -438,59 +441,29 @@ def run_experiment(
     }
     master = base_config.rng_seed
 
-    def bo_cell(kernel_idx: int, rid: int):
-        kernel = report.kernels[kernel_idx]
-        cfg = replace(base_config, kernel=kernel, rng_seed=_cell_seed(master, (1, kernel_idx, rid)))
-        return run_bo(
-            cfg,
-            noisy_clouds[rid],
-            clean_cloud=scene_cloud if cfg.resample_noise else None,
-            noise_model=noise_model if cfg.resample_noise else None,
-            meta={"scene": scene_label, "realization": rid},
-        )
-
-    def baseline_cell(rid: int):
-        cfg = replace(base_config, rng_seed=_cell_seed(master, (2, rid)))
-        return circular_baseline(cfg, noisy_clouds[rid], n_candidates=n_baseline)
-
-    tasks = []
-    for kernel_idx in range(len(report.kernels)):
+    for kernel_idx, kernel in enumerate(report.kernels):
         for rid in range(n_realizations):
-            tasks.append(("bo", kernel_idx, rid))
+            label = f"{kernel}/r{rid}"
+            seed = _cell_seed(master, (1, kernel_idx, rid))
+            cfg = replace(base_config, kernel=kernel, rng_seed=seed)
+            try:
+                trace = run_bo(
+                    cfg,
+                    noisy_clouds[rid],
+                    clean_cloud=scene_cloud if cfg.resample_noise else None,
+                    noise_model=noise_model if cfg.resample_noise else None,
+                    meta={"scene": scene_label, "realization": rid},
+                )
+            except _CELL_ERRORS as err:
+                report.errors[label] = f"{type(err).__name__}: {err}"
+                continue
+            report.traces[(kernel, rid)] = trace
+            if trace.incomplete:
+                report.errors[label] = "incomplete: surrogate factorization failed"
     for rid in range(n_realizations):
-        tasks.append(("baseline", rid))
-
-    def run_task(task):
-        if task[0] == "bo":
-            return bo_cell(task[1], task[2])
-        return baseline_cell(task[1])
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(lambda t: _safe(run_task, t), tasks))
-    else:
-        outcomes = [_safe(run_task, t) for t in tasks]
-
-    for task, (result, error) in zip(tasks, outcomes):
-        if task[0] == "bo":
-            label = f"{report.kernels[task[1]]}/r{task[2]}"
-            if error is not None:
-                report.errors[label] = error
-            else:
-                report.traces[(report.kernels[task[1]], task[2])] = result
-                if result.incomplete:
-                    report.errors[label] = "incomplete: surrogate factorization failed"
-        else:
-            label = f"baseline/r{task[1]}"
-            if error is not None:
-                report.errors[label] = error
-            else:
-                report.baselines[task[1]] = result
+        cfg = replace(base_config, rng_seed=_cell_seed(master, (2, rid)))
+        try:
+            report.baselines[rid] = circular_baseline(cfg, noisy_clouds[rid], n_candidates=n_baseline)
+        except _CELL_ERRORS as err:
+            report.errors[f"baseline/r{rid}"] = f"{type(err).__name__}: {err}"
     return report
-
-
-def _safe(fn, task):
-    try:
-        return fn(task), None
-    except Exception as err:  # cell isolation: record, keep the grid running
-        return None, f"{type(err).__name__}: {err}"

@@ -122,9 +122,9 @@ class NoiseModel:
     direction by each point's relative height, so plant tops move the most
     and bases stay put.
 
-    Only ``kind == "motion"`` is implemented; other kinds are accepted here
-    but rejected when sampled. ``shared_draw`` reuses a single scalar for
-    every plant instead of independent per-plant draws.
+    ``kind`` must be ``"motion"``, the only model implemented.
+    ``shared_draw`` reuses a single scalar for every plant instead of
+    independent per-plant draws.
     """
 
     kind: str = "motion"
@@ -134,6 +134,8 @@ class NoiseModel:
     shared_draw: bool = False
 
     def __post_init__(self):
+        if self.kind != "motion":
+            raise ValueError(f"noise kind {self.kind!r} is not implemented; use 'motion'")
         if self.sigma < 0.0:
             raise ValueError("sigma must be nonnegative")
         d = np.asarray(self.direction, dtype=float).reshape(3)
@@ -159,8 +161,6 @@ class NoiseRealization:
 
 def sample_realization(model: NoiseModel, cloud: PointCloud, realization_id: int) -> NoiseRealization:
     """Draw one noise realization, seeded by rng_seed XOR realization_id."""
-    if model.kind != "motion":
-        raise NotImplementedError(f"noise kind {model.kind!r} is not implemented")
     if realization_id < 0:
         raise ValueError("realization_id must be nonnegative")
     rng = np.random.default_rng(model.rng_seed ^ realization_id)

@@ -198,17 +198,6 @@ class TestExperiment:
         for name, body in first.items():
             assert (out / name).read_bytes() == body
 
-    def test_threaded_matches_serial(self, tmp_path, tiny_config, monkeypatch):
-        serial_out = tmp_path / "serial"
-        assert self.run_small(serial_out, tiny_config) == 0
-        monkeypatch.setenv("VIEWPLAN_THREADS", "3")
-        threaded_out = tmp_path / "threaded"
-        assert self.run_small(threaded_out, tiny_config) == 0
-        assert (
-            (serial_out / "single_report.csv").read_bytes()
-            == (threaded_out / "single_report.csv").read_bytes()
-        )
-
     def test_smoke_single_realization(self, tmp_path, tiny_config):
         out = tmp_path / "out"
         assert self.run_small(out, tiny_config, "--smoke", "--candidates", "32") == 0
@@ -225,6 +214,21 @@ class TestConfig:
         ids=["in_section", "top_level"],
     )
     def test_unknown_key_is_rejected(self, tmp_path, capsys, payload, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        code = run("generate-scene", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"noise": {"shared_draw": "false"}}, "shared_draw"),
+            ({"bo": {"resample_noise": 0}}, "resample_noise"),
+        ],
+        ids=["string", "integer"],
+    )
+    def test_non_bool_in_bool_field_is_rejected(self, tmp_path, capsys, payload, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(payload))
         code = run("generate-scene", "--config", str(cfg), "--out", str(tmp_path / "o"))
@@ -315,18 +319,6 @@ class TestExitCodes:
         code = run("plan", "--scene", str(tmp_path / "ghost.ply"),
                    "--config", tiny_config, "--out", str(tmp_path / "o"))
         assert code == 2
-
-    def test_invalid_thread_env(self, tmp_path, tiny_config, monkeypatch, capsys):
-        monkeypatch.setenv("VIEWPLAN_THREADS", "abc")
-        code = run("experiment", "--scenes", "single", "--kernels", "rbf",
-                   "--config", tiny_config, "--out", str(tmp_path / "o"))
-        assert code == 1
-
-    def test_nonpositive_thread_env(self, tmp_path, tiny_config, monkeypatch, capsys):
-        monkeypatch.setenv("VIEWPLAN_THREADS", "0")
-        code = run("experiment", "--scenes", "single", "--kernels", "rbf",
-                   "--config", tiny_config, "--out", str(tmp_path / "o"))
-        assert code == 1
 
     def test_unsupported_noise_kind(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -324,26 +324,26 @@ class TestRunExperiment:
         expect = np.mean([report.baselines[r].final_regret() for r in range(2)])
         assert report.baseline_mean_regret() == pytest.approx(expect, abs=0)
 
-    def test_thread_pool_matches_serial(self):
-        serial = tiny_experiment()
-        threaded = tiny_experiment(max_workers=3)
-        for key in serial.traces:
-            assert serial.traces[key].observed == threaded.traces[key].observed
-        for rid in serial.baselines:
-            assert serial.baselines[rid].values == threaded.baselines[rid].values
-
     def test_failed_cell_is_isolated(self, monkeypatch):
         def boom(*args, **kwargs):
-            raise RuntimeError("no circle today")
+            raise ValueError("no circle today")
 
         monkeypatch.setattr(planner_mod, "circular_baseline", boom)
         report = tiny_experiment()
         assert set(report.errors) == {"baseline/r0", "baseline/r1"}
-        assert "RuntimeError" in report.errors["baseline/r0"]
+        assert report.errors["baseline/r0"] == "ValueError: no circle today"
         assert set(report.traces) == {
             ("rbf", 0), ("rbf", 1), ("matern15", 0), ("matern15", 1),
         }
         assert report.baselines == {}
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("a bug, not a failed cell")
+
+        monkeypatch.setattr(planner_mod, "run_bo", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            tiny_experiment()
 
     def test_validation(self):
         with pytest.raises(ValueError):

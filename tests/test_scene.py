@@ -100,11 +100,9 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(direction=(0.0, 0.0, 0.0))
 
-    def test_unknown_kind_rejected_at_sampling(self):
-        model = NoiseModel(kind="thermal")
-        cloud = generate_scene(SceneSpec("single", points_per_plant=30, rng_seed=0))
-        with pytest.raises(NotImplementedError):
-            sample_realization(model, cloud, 0)
+    def test_unknown_kind_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="thermal"):
+            NoiseModel(kind="thermal")
 
 
 class TestSampleRealization:
