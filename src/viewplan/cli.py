@@ -76,51 +76,69 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _names(known, aliases):
+    """argparse type: a comma-separated list of names from ``known``, aliases resolved."""
+
+    def parse(text: str) -> list:
+        names = [aliases.get(s, s) for s in (s.strip() for s in text.split(",")) if s]
+        if not names or any(n not in known for n in names):
+            expected = ", ".join([*known, *aliases])
+            raise argparse.ArgumentTypeError(f"expected {expected}; got {text!r}")
+        return names
+
+    return parse
+
+
+# Flags that set a config key name it once, as their dest: "section.key" or a
+# top-level key. `_flag_config` turns the given ones into a config override.
+_FLAGS = {
+    "--scene": dict(dest="layout_or_ply", help=f"layout name ({'|'.join(LAYOUTS)}) or a .ply path"),
+    "--cameras": dict(dest="bo.n_cameras", type=int, help="number of cameras"),
+    "--init": dict(dest="bo.n_init", type=int, help="initial design size"),
+    "--iters": dict(dest="bo.n_iters", type=int, help="sequential iterations"),
+    "--noise-sigma": dict(dest="noise.sigma", type=float, help="motion noise scale, meters"),
+    "--candidates": dict(dest="bo.af_budget", type=int, help="acquisition candidate budget"),
+    "--smoke": dict(action="store_true", help="reduced budgets for a quick check"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="viewplan", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_common(p, scene=True):
+    def command(name, func, summary, *flags):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="JSON config file; flags override it")
-        if scene:
-            p.add_argument("--scene", help="layout name (single|row3|grid9) or a .ply path")
-        p.add_argument("--seed", type=int, help="master seed for the optimizer")
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--seed", dest="bo.rng_seed", type=int, help="master seed for the optimizer")
+        p.add_argument("--out", dest="out_dir", help="output directory")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        return p
 
-    p_gen = sub.add_parser("generate-scene", help="write a procedural scene to PLY + JSON")
-    add_common(p_gen)
-    p_gen.set_defaults(func=cmd_generate_scene)
-
-    p_plan = sub.add_parser("plan", help="optimize a camera placement on one noisy cloud")
-    add_common(p_plan)
-    p_plan.add_argument("--cameras", type=int, help="number of cameras")
-    p_plan.add_argument("--kernel", choices=_KERNEL_CHOICES, help="surrogate kernel")
-    p_plan.add_argument("--init", type=int, help="initial design size")
-    p_plan.add_argument("--iters", type=int, help="sequential iterations")
-    p_plan.add_argument("--noise-sigma", type=float, help="motion noise scale, meters")
-    p_plan.add_argument("--candidates", type=int, help="acquisition candidate budget")
-    p_plan.add_argument("--smoke", action="store_true", help="reduced budgets for a quick check")
-    p_plan.set_defaults(func=cmd_plan)
-
-    p_base = sub.add_parser("baseline", help="best-of-n circular formation on one noisy cloud")
-    add_common(p_base)
-    p_base.add_argument("--cameras", type=int, help="number of cameras")
-    p_base.add_argument("--noise-sigma", type=float, help="motion noise scale, meters")
-    p_base.add_argument("--candidates", type=int, help="number of circular candidates")
-    p_base.set_defaults(func=cmd_baseline)
-
-    p_exp = sub.add_parser("experiment", help="kernel-menu regret comparison over realizations")
-    add_common(p_exp, scene=False)
-    p_exp.add_argument("--scenes", help="comma-separated layout names", default=None)
-    p_exp.add_argument("--cameras", type=int, help="number of cameras (all scenes)")
-    p_exp.add_argument("--kernels", help="comma-separated kernel subset", default=None)
-    p_exp.add_argument("--init", type=int, help="initial design size")
-    p_exp.add_argument("--iters", type=int, help="sequential iterations")
-    p_exp.add_argument("--noise-sigma", type=float, help="motion noise scale, meters")
+    command("generate-scene", cmd_generate_scene, "write a procedural scene to PLY + JSON",
+            "--scene")
+    p_plan = command(
+        "plan", cmd_plan, "optimize a camera placement on one noisy cloud",
+        "--scene", "--cameras", "--init", "--iters", "--noise-sigma", "--candidates", "--smoke",
+    )
+    p_plan.add_argument("--kernel", dest="bo.kernel", choices=_KERNEL_CHOICES,
+                        type=lambda k: _KERNEL_ALIASES.get(k, k), help="surrogate kernel")
+    p_base = command(
+        "baseline", cmd_baseline, "best-of-n circular formation on one noisy cloud",
+        "--scene", "--cameras", "--noise-sigma",
+    )
+    p_base.add_argument("--candidates", dest="baseline_candidates", type=int,
+                        help="number of circular candidates")
+    p_exp = command(
+        "experiment", cmd_experiment, "kernel-menu regret comparison over realizations",
+        "--cameras", "--init", "--iters", "--noise-sigma", "--candidates", "--smoke",
+    )
+    p_exp.add_argument("--scenes", type=_names(LAYOUTS, {}), default=LAYOUTS,
+                       help="comma-separated layout names")
+    p_exp.add_argument("--kernels", type=_names(KERNEL_FAMILIES, _KERNEL_ALIASES),
+                       help="comma-separated kernel subset")
     p_exp.add_argument("--realizations", type=int, help="noise realizations per scene")
-    p_exp.add_argument("--candidates", type=int, help="acquisition candidate budget")
-    p_exp.add_argument("--smoke", action="store_true", help="reduced budgets for a quick check")
-    p_exp.set_defaults(func=cmd_experiment)
     return parser
 
 
@@ -140,53 +158,39 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+# Applied after the flags, so --smoke wins over --init and --iters.
+_SMOKE = {"bo": {"n_init": 10, "n_iters": 30}, "realizations": 1}
+
+
+def _flag_config(args) -> dict:
+    """The config keys set by the given flags, as a config file would hold them."""
+    out = {}
+    for dest, value in vars(args).items():
+        section, _, key = dest.rpartition(".")
+        if value is not None and (section or key) in _DEFAULTS:
+            (out.setdefault(section, {}) if section else out)[key] = value
+    scene = getattr(args, "layout_or_ply", None)
+    if scene in LAYOUTS:
+        out.update(scene={"layout": scene}, scene_path=None)
+    elif scene is not None:
+        out["scene_path"] = scene
+    return out
+
+
 def _load_config(args) -> dict:
     cfg = json.loads(json.dumps(_DEFAULTS))
-    path = getattr(args, "config", None)
-    if path:
-        text = Path(path).read_text(encoding="utf-8")
+    if args.config:
+        text = Path(args.config).read_text(encoding="utf-8")
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as err:
-            raise ValueError(f"config file {path} is not valid JSON: {err}") from None
+            raise ValueError(f"config file {args.config} is not valid JSON: {err}") from None
         if not isinstance(payload, dict):
-            raise ValueError(f"config file {path} must contain a JSON object")
+            raise ValueError(f"config file {args.config} must contain a JSON object")
         cfg = _merge(cfg, payload)
-
-    def set_if(path_keys, value):
-        if value is None:
-            return
-        node = cfg
-        for key in path_keys[:-1]:
-            node = node[key]
-        node[path_keys[-1]] = value
-
-    set_if(("out_dir",), getattr(args, "out", None))
-    set_if(("bo", "rng_seed"), getattr(args, "seed", None))
-    set_if(("bo", "n_cameras"), getattr(args, "cameras", None))
-    set_if(("bo", "n_init"), getattr(args, "init", None))
-    set_if(("bo", "n_iters"), getattr(args, "iters", None))
-    set_if(("bo", "af_budget"), getattr(args, "candidates", None))
-    set_if(("noise", "sigma"), getattr(args, "noise_sigma", None))
-    set_if(("realizations",), getattr(args, "realizations", None))
-    kernel = getattr(args, "kernel", None)
-    if kernel is not None:
-        cfg["bo"]["kernel"] = _KERNEL_ALIASES.get(kernel, kernel)
-    scene = getattr(args, "scene", None)
-    if scene is not None:
-        if scene in LAYOUTS:
-            cfg["scene"]["layout"] = scene
-            cfg["scene_path"] = None
-        else:
-            cfg["scene_path"] = scene
+    cfg = _merge(cfg, _flag_config(args))
     if getattr(args, "smoke", False):
-        cfg["bo"]["n_init"] = 10
-        cfg["bo"]["n_iters"] = 30
-        cfg["realizations"] = 1
-    if getattr(args, "command", "") == "baseline":
-        base_candidates = getattr(args, "candidates", None)
-        if base_candidates is not None:
-            cfg["baseline_candidates"] = base_candidates
+        cfg = _merge(cfg, _SMOKE)
     seed = cfg["bo"]["rng_seed"]
     if cfg["scene"]["rng_seed"] is None:
         cfg["scene"]["rng_seed"] = seed + 1000
@@ -344,27 +348,15 @@ def cmd_baseline(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = _load_config(args)
-    scenes = [s.strip() for s in (args.scenes or ",".join(["single", "row3", "grid9"])).split(",") if s.strip()]
-    for s in scenes:
-        if s not in LAYOUTS:
-            raise ValueError(f"unknown layout {s!r}; choose from {LAYOUTS}")
-    if args.kernels:
-        kernels = []
-        for k in (s.strip() for s in args.kernels.split(",")):
-            if not k:
-                continue
-            k = _KERNEL_ALIASES.get(k, k)
-            if k not in KERNEL_FAMILIES:
-                raise ValueError(f"unknown kernel {k!r}; choose from {KERNEL_FAMILIES}")
-            kernels.append(k)
-        cfg["kernels"] = kernels
+    if cfg["scene_path"]:
+        raise ValueError("experiment runs the layouts named by --scenes; drop scene_path")
     out = _out_dir(cfg)
 
     exit_code = 0
     all_failed = True
-    for layout in scenes:
+    for layout in args.scenes:
         spec, noise, bo = _typed(cfg, layout=layout)
-        cloud, label = _scene_cloud(dict(cfg, scene_path=None), spec)
+        cloud, label = _scene_cloud(cfg, spec)
         report = run_experiment(
             cloud,
             noise,
@@ -432,10 +424,7 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except _FileFormatError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (_FileFormatError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except FactorizationError as err:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,10 @@ class TestBaseline:
         assert payload["best_value"] == max(payload["values"])
         assert payload["final_simple_regret"] == 1.0 - payload["best_value"]
         assert len(payload["placement"]["cameras"]) == 2
+        # baseline's --candidates sets the candidate count; the EI budget keeps
+        # the config file's value.
+        assert payload["config"]["baseline_candidates"] == 5
+        assert payload["config"]["bo"]["af_budget"] == 32
 
 
 class TestExperiment:
@@ -200,9 +205,12 @@ class TestExperiment:
 
     def test_smoke_single_realization(self, tmp_path, tiny_config):
         out = tmp_path / "out"
-        assert self.run_small(out, tiny_config, "--smoke", "--candidates", "32") == 0
+        assert self.run_small(
+            out, tiny_config, "--smoke", "--candidates", "32", "--kernels", "ard,rbf",
+        ) == 0
         summary = read_json(out / "single_summary.json")
-        assert len(summary["cells"]) == 1
+        assert summary["config"]["kernels"] == ["ard_rbf", "rbf"]
+        assert len(summary["cells"]) == 2
         assert summary["config"]["bo"]["n_init"] == 10
         assert summary["config"]["bo"]["n_iters"] == 30
 
@@ -260,6 +268,33 @@ class TestConfig:
             assert (out / name).read_bytes() == body
 
 
+class TestHelp:
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            (None, set()),
+            ("generate-scene", {"--scene"}),
+            ("plan", {"--scene", "--cameras", "--init", "--iters", "--noise-sigma",
+                      "--candidates", "--smoke", "--kernel"}),
+            ("baseline", {"--scene", "--cameras", "--noise-sigma", "--candidates"}),
+            ("experiment", {"--scenes", "--cameras", "--kernels", "--init", "--iters",
+                            "--noise-sigma", "--realizations", "--candidates", "--smoke"}),
+        ],
+        ids=["top_level", "generate-scene", "plan", "baseline", "experiment"],
+    )
+    def test_help_lists_the_flags(self, capsys, command, flags):
+        assert run(*filter(None, [command]), "--help") == 0
+        text = capsys.readouterr().out
+        if command is None:
+            for name in ("generate-scene", "plan", "baseline", "experiment"):
+                assert name in text
+        else:
+            common = {"--help", "--config", "--seed", "--out"}
+            assert set(re.findall(r"--[a-z-]+", text)) == common | flags
+        if command == "plan":
+            assert "ard}" in text
+
+
 class TestExitCodes:
     def test_no_command_is_usage_error(self, capsys):
         assert run() == 1
@@ -283,6 +318,15 @@ class TestExitCodes:
         code = run("experiment", "--scenes", "hexfield",
                    "--config", tiny_config, "--out", str(tmp_path / "o"))
         assert code == 1
+
+    def test_scene_path_in_experiment(self, tmp_path, tiny_config, capsys):
+        cfg = tmp_path / "cfg.json"
+        payload = read_json(tiny_config)
+        cfg.write_text(json.dumps(dict(payload, scene_path=str(tmp_path / "scene_single.ply"))))
+        code = run("experiment", "--scenes", "single", "--config", str(cfg),
+                   "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "scene_path" in capsys.readouterr().err
 
     def test_unknown_kernel_in_experiment(self, tmp_path, tiny_config, capsys):
         code = run("experiment", "--scenes", "single", "--kernels", "rbf,spline",

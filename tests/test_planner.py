@@ -152,6 +152,15 @@ class TestRunBo:
         assert a.observed == b.observed
         assert all(np.array_equal(x, y) for x, y in zip(a.inputs, b.inputs))
 
+    def test_deterministic_past_130_points(self):
+        # From about 130 training points the BLAS results depend on the thread
+        # count; reruns at the same thread count must still match bit for bit.
+        cfg = replace(SMALL_CFG, n_init=10, n_iters=130, refit_every=50)
+        a = run_bo(cfg, SMALL_CLOUD)
+        b = run_bo(cfg, SMALL_CLOUD)
+        assert len(list(a.rows())) == 140
+        assert a.observed == b.observed
+
     def test_trace_rows_rescore_exactly_and_face_the_centroid(self):
         trace = run_bo(SMALL_CFG, SMALL_CLOUD)
         assert len(trace) > trace.n_init
