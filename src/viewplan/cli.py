@@ -76,15 +76,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _resolved(names, known, aliases) -> list:
+    """``names``, a nonempty list of names from ``known``, with ``aliases`` resolved.
+
+    Raises ValueError for anything else.
+    """
+    if isinstance(names, list) and all(isinstance(n, str) for n in names):
+        out = [aliases.get(n, n) for n in names]
+        if out and all(n in known for n in out):
+            return out
+    raise ValueError(f"expected {', '.join([*known, *aliases])}; got {names!r}")
+
+
 def _names(known, aliases):
     """argparse type: a comma-separated list of names from ``known``, aliases resolved."""
 
     def parse(text: str) -> list:
-        names = [aliases.get(s, s) for s in (s.strip() for s in text.split(",")) if s]
-        if not names or any(n not in known for n in names):
-            expected = ", ".join([*known, *aliases])
-            raise argparse.ArgumentTypeError(f"expected {expected}; got {text!r}")
-        return names
+        try:
+            return _resolved([s for s in (s.strip() for s in text.split(",")) if s], known, aliases)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
 
     return parse
 
@@ -191,6 +202,10 @@ def _load_config(args) -> dict:
     cfg = _merge(cfg, _flag_config(args))
     if getattr(args, "smoke", False):
         cfg = _merge(cfg, _SMOKE)
+    try:
+        cfg["kernels"] = _resolved(cfg["kernels"], KERNEL_FAMILIES, _KERNEL_ALIASES)
+    except ValueError as err:
+        raise ValueError(f"config key 'kernels': {err}") from None
     seed = cfg["bo"]["rng_seed"]
     if cfg["scene"]["rng_seed"] is None:
         cfg["scene"]["rng_seed"] = seed + 1000
@@ -289,14 +304,14 @@ def cmd_generate_scene(args) -> int:
 def _noisy_cloud(cfg, spec, noise):
     cloud, label = _scene_cloud(cfg, spec)
     realization = sample_realization(noise, cloud, int(cfg["realization_id"]))
-    return cloud, apply_noise(cloud, realization), label
+    return apply_noise(cloud, realization), label
 
 
 def cmd_plan(args) -> int:
     cfg = _load_config(args)
     spec, noise, bo = _typed(cfg)
-    clean, noisy, label = _noisy_cloud(cfg, spec, noise)
-    trace = run_bo(bo, noisy, clean_cloud=clean, noise_model=noise, meta={"scene": label})
+    noisy, label = _noisy_cloud(cfg, spec, noise)
+    trace = run_bo(bo, noisy)
     out = _out_dir(cfg)
     best_vec = trace.best_input()
     placement = decode(best_vec, bo.space)
@@ -325,7 +340,7 @@ def cmd_plan(args) -> int:
 def cmd_baseline(args) -> int:
     cfg = _load_config(args)
     spec, noise, bo = _typed(cfg)
-    _, noisy, label = _noisy_cloud(cfg, spec, noise)
+    noisy, label = _noisy_cloud(cfg, spec, noise)
     result = circular_baseline(bo, noisy, n_candidates=int(cfg["baseline_candidates"]))
     out = _out_dir(cfg)
     payload = {
@@ -366,7 +381,6 @@ def cmd_experiment(args) -> int:
             n_baseline=int(cfg["baseline_candidates"]),
             scene_label=label,
         )
-        report.config = _echo(cfg, spec, noise, bo)
         vio.write_report_csv(out / f"{label}_report.csv", report)
         vio.write_mean_regret_csv(out / f"{label}_mean_regret.csv", report)
         summary = {
@@ -393,7 +407,7 @@ def cmd_experiment(args) -> int:
                 for rid, b in sorted(report.baselines.items())
             ],
             "errors": dict(sorted(report.errors.items())),
-            "config": report.config,
+            "config": _echo(cfg, spec, noise, bo),
         }
         vio.write_json(out / f"{label}_summary.json", summary)
         done = len(report.traces) + len(report.baselines)

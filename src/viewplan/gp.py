@@ -369,9 +369,7 @@ class GpModel:
 
         candidates = []
         for theta0 in starts:
-            v0, _ = objective(theta0)
-            if math.isfinite(v0):
-                candidates.append((-v0, theta0))
+            # L-BFGS-B evaluates theta0 first and never ends worse than it.
             res = minimize(
                 objective,
                 theta0,

@@ -51,7 +51,6 @@ class BoConfig:
     rng_seed: int = 0
     af_budget: int = 2048
     refit_every: int = 0
-    resample_noise: bool = False
 
     def __post_init__(self):
         if self.n_cameras < 2:
@@ -88,7 +87,6 @@ class RegretTrace:
     inputs: list
     observed: list
     n_init: int
-    meta: dict = field(default_factory=dict)
     incomplete: bool = False
     optimum: float = OPTIMUM_VALUE
 
@@ -182,29 +180,17 @@ class _Objective:
     to ``encoded``.
     """
 
-    def __init__(self, config: BoConfig, cloud: PointCloud,
-                 clean_cloud: Optional[PointCloud], noise_model: Optional[NoiseModel]):
+    def __init__(self, config: BoConfig, cloud: PointCloud):
         self.config = config
         self.cloud = cloud
-        self.clean_cloud = clean_cloud
-        self.noise_model = noise_model
         self.centroid = cloud.centroid()
-        self.eval_count = 0
         self.searched: list = []
         self.encoded: list = []
-        if config.resample_noise and (clean_cloud is None or noise_model is None):
-            raise ValueError("resample_noise requires clean_cloud and noise_model")
 
     def __call__(self, vec: np.ndarray) -> float:
-        if self.config.resample_noise:
-            realization = sample_realization(self.noise_model, self.clean_cloud, self.eval_count)
-            cloud = apply_noise(self.clean_cloud, realization)
-        else:
-            cloud = self.cloud
-        self.eval_count += 1
         space = self.config.space
         z = encode(_aimed_placement(vec, space, self.centroid), space)
-        value = noisy_reward(decode(z, space), cloud, self.config.reward_params)
+        value = noisy_reward(decode(z, space), self.cloud, self.config.reward_params)
         self.searched.append(np.array(vec, dtype=float))
         self.encoded.append(z)
         return value
@@ -223,7 +209,7 @@ def init_design(config: BoConfig, cloud: PointCloud,
     placement puts a camera on a scene point or on the cloud centroid are
     redrawn, up to 100 times each.
     """
-    obj = objective or _Objective(config, cloud, None, None)
+    obj = objective or _Objective(config, cloud)
     ss = np.random.SeedSequence(config.rng_seed, spawn_key=(0,))
     rng = np.random.default_rng(ss)
     d = config.dim()
@@ -244,13 +230,7 @@ def init_design(config: BoConfig, cloud: PointCloud,
     return zs, ys
 
 
-def run_bo(
-    config: BoConfig,
-    cloud: PointCloud,
-    clean_cloud: Optional[PointCloud] = None,
-    noise_model: Optional[NoiseModel] = None,
-    meta: Optional[dict] = None,
-) -> RegretTrace:
+def run_bo(config: BoConfig, cloud: PointCloud) -> RegretTrace:
     """Sequential surrogate optimization of the noisy reward.
 
     The surrogate is fitted on, and expected improvement maximized over, the
@@ -261,13 +241,12 @@ def run_bo(
     factorization failure ends the run early with the trace flagged
     incomplete rather than raising.
     """
-    objective = _Objective(config, cloud, clean_cloud, noise_model)
+    objective = _Objective(config, cloud)
     zs, ys = init_design(config, cloud, objective)
     trace = RegretTrace(
         inputs=[z.copy() for z in zs],
         observed=[float(v) for v in ys],
         n_init=config.n_init,
-        meta=dict(meta or {}, kernel=config.kernel, rng_seed=config.rng_seed),
     )
 
     fit_seed = np.random.SeedSequence(config.rng_seed, spawn_key=(1,))
@@ -375,7 +354,6 @@ class ExperimentReport:
     traces: Dict[Tuple[str, int], RegretTrace] = field(default_factory=dict)
     baselines: Dict[int, BaselineResult] = field(default_factory=dict)
     errors: Dict[str, str] = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
 
     def mean_bo_regrets(self, kernel: str) -> np.ndarray:
         """Mean regret per sequential iteration across complete realizations."""
@@ -447,13 +425,7 @@ def run_experiment(
             seed = _cell_seed(master, (1, kernel_idx, rid))
             cfg = replace(base_config, kernel=kernel, rng_seed=seed)
             try:
-                trace = run_bo(
-                    cfg,
-                    noisy_clouds[rid],
-                    clean_cloud=scene_cloud if cfg.resample_noise else None,
-                    noise_model=noise_model if cfg.resample_noise else None,
-                    meta={"scene": scene_label, "realization": rid},
-                )
+                trace = run_bo(cfg, noisy_clouds[rid])
             except _CELL_ERRORS as err:
                 report.errors[label] = f"{type(err).__name__}: {err}"
                 continue

@@ -122,20 +122,16 @@ class NoiseModel:
     direction by each point's relative height, so plant tops move the most
     and bases stay put.
 
-    ``kind`` must be ``"motion"``, the only model implemented.
     ``shared_draw`` reuses a single scalar for every plant instead of
     independent per-plant draws.
     """
 
-    kind: str = "motion"
     sigma: float = DEFAULT_SIGMA
     direction: Tuple[float, float, float] = (1.0, 0.0, 0.0)
     rng_seed: int = 0
     shared_draw: bool = False
 
     def __post_init__(self):
-        if self.kind != "motion":
-            raise ValueError(f"noise kind {self.kind!r} is not implemented; use 'motion'")
         if self.sigma < 0.0:
             raise ValueError("sigma must be nonnegative")
         d = np.asarray(self.direction, dtype=float).reshape(3)

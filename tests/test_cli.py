@@ -218,8 +218,13 @@ class TestExperiment:
 class TestConfig:
     @pytest.mark.parametrize(
         "payload, key",
-        [({"bo": {"n_iter": 3}}, "n_iter"), ({"realisations": 2}, "realisations")],
-        ids=["in_section", "top_level"],
+        [
+            ({"bo": {"n_iter": 3}}, "n_iter"),
+            ({"realisations": 2}, "realisations"),
+            ({"bo": {"resample_noise": False}}, "resample_noise"),
+            ({"noise": {"kind": "motion"}}, "kind"),
+        ],
+        ids=["in_section", "top_level", "resample_noise", "noise_kind"],
     )
     def test_unknown_key_is_rejected(self, tmp_path, capsys, payload, key):
         cfg = tmp_path / "cfg.json"
@@ -232,7 +237,7 @@ class TestConfig:
         "payload, key",
         [
             ({"noise": {"shared_draw": "false"}}, "shared_draw"),
-            ({"bo": {"resample_noise": 0}}, "resample_noise"),
+            ({"noise": {"shared_draw": 0}}, "shared_draw"),
         ],
         ids=["string", "integer"],
     )
@@ -242,6 +247,28 @@ class TestConfig:
         code = run("generate-scene", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == 1
         assert key in capsys.readouterr().err
+
+    def test_config_kernels_resolve_the_alias(self, tmp_path, tiny_config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(read_json(tiny_config), kernels=["ard"], realizations=1)))
+        out = tmp_path / "out"
+        assert run("experiment", "--scenes", "single", "--config", str(cfg),
+                   "--out", str(out)) == 0
+        summary = read_json(out / "single_summary.json")
+        assert summary["kernels"] == ["ard_rbf"]
+        assert summary["config"]["kernels"] == ["ard_rbf"]
+
+    @pytest.mark.parametrize("kernels", [["spline"], "rbf", []],
+                             ids=["unknown", "not_a_list", "empty"])
+    def test_bad_config_kernels_exit_before_writing(self, tmp_path, tiny_config, capsys,
+                                                    kernels):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(read_json(tiny_config), kernels=kernels)))
+        out = tmp_path / "out"
+        assert run("experiment", "--scenes", "single", "--config", str(cfg),
+                   "--out", str(out)) == 1
+        assert "'kernels'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_int_in_float_field_echoes_as_float(self, tmp_path):
         cfg = tmp_path / "cfg.json"

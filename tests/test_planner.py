@@ -173,28 +173,6 @@ class TestRunBo:
                 cos_tilt = cam.orientation.as_array() @ to_cam / np.linalg.norm(to_cam)
                 assert math.acos(min(1.0, cos_tilt)) <= math.pi / 4 + 1e-9
 
-    def test_meta_records_kernel_and_seed(self):
-        trace = run_bo(SMALL_CFG, SMALL_CLOUD, meta={"scene": "s"})
-        assert trace.meta["kernel"] == "matern25"
-        assert trace.meta["rng_seed"] == 5
-        assert trace.meta["scene"] == "s"
-
-    def test_resample_noise_requires_model(self):
-        cfg = replace(SMALL_CFG, resample_noise=True)
-        with pytest.raises(ValueError):
-            run_bo(cfg, SMALL_CLOUD)
-
-    def test_resample_noise_reevaluates_fresh_offsets(self):
-        model = NoiseModel(sigma=0.2, rng_seed=9)
-        cfg = replace(SMALL_CFG, resample_noise=True, n_init=3, n_iters=2)
-        trace = run_bo(cfg, SMALL_CLOUD, clean_cloud=SMALL_CLOUD, noise_model=model)
-        assert len(trace) == 5
-        # each evaluation used realization id = its index, so reproducing the
-        # first design value needs realization 0
-        noisy0 = apply_noise(SMALL_CLOUD, sample_realization(model, SMALL_CLOUD, 0))
-        placement = decode(trace.inputs[0], cfg.space)
-        assert trace.observed[0] == noisy_reward(placement, noisy0, cfg.reward_params)
-
     def test_factorization_failure_flags_trace(self, monkeypatch):
         def boom(*args, **kwargs):
             raise FactorizationError(1e-4)

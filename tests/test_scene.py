@@ -100,10 +100,6 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(direction=(0.0, 0.0, 0.0))
 
-    def test_unknown_kind_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="thermal"):
-            NoiseModel(kind="thermal")
-
 
 class TestSampleRealization:
     def test_deterministic_per_id(self):
