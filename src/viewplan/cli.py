@@ -206,6 +206,9 @@ def _load_config(args) -> dict:
         cfg["kernels"] = _resolved(cfg["kernels"], KERNEL_FAMILIES, _KERNEL_ALIASES)
     except ValueError as err:
         raise ValueError(f"config key 'kernels': {err}") from None
+    for key in ("realizations", "baseline_candidates", "realization_id"):
+        if isinstance(cfg[key], bool) or not isinstance(cfg[key], int):
+            raise ValueError(f"config key {key!r} must be an integer, got {cfg[key]!r}")
     seed = cfg["bo"]["rng_seed"]
     if cfg["scene"]["rng_seed"] is None:
         cfg["scene"]["rng_seed"] = seed + 1000
@@ -303,7 +306,7 @@ def cmd_generate_scene(args) -> int:
 
 def _noisy_cloud(cfg, spec, noise):
     cloud, label = _scene_cloud(cfg, spec)
-    realization = sample_realization(noise, cloud, int(cfg["realization_id"]))
+    realization = sample_realization(noise, cloud, cfg["realization_id"])
     return apply_noise(cloud, realization), label
 
 
@@ -341,7 +344,7 @@ def cmd_baseline(args) -> int:
     cfg = _load_config(args)
     spec, noise, bo = _typed(cfg)
     noisy, label = _noisy_cloud(cfg, spec, noise)
-    result = circular_baseline(bo, noisy, n_candidates=int(cfg["baseline_candidates"]))
+    result = circular_baseline(bo, noisy, n_candidates=cfg["baseline_candidates"])
     out = _out_dir(cfg)
     payload = {
         "scene": label,
@@ -377,8 +380,8 @@ def cmd_experiment(args) -> int:
             noise,
             bo,
             kernels=tuple(cfg["kernels"]),
-            n_realizations=int(cfg["realizations"]),
-            n_baseline=int(cfg["baseline_candidates"]),
+            n_realizations=cfg["realizations"],
+            n_baseline=cfg["baseline_candidates"],
             scene_label=label,
         )
         vio.write_report_csv(out / f"{label}_report.csv", report)

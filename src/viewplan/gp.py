@@ -4,7 +4,9 @@ Inference follows the standard Cholesky route. Targets are optionally
 standardized to zero mean / unit variance before factorization and the
 transform is inverted on prediction. Appending an observation keeps the
 hyperparameters but recomputes the transform over all targets (see
-:meth:`GpModel.add_observation`).
+:meth:`GpModel.add_observation`). A likelihood fit builds its objective once
+(:func:`_likelihood`), keeping what the data fix across evaluations, and
+factorizes through LAPACK directly.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
@@ -88,27 +91,27 @@ def _scaled_sqdist(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return cdist(a / ls, b / ls, metric="sqeuclidean")
 
 
-def _kernel_of_sqdist(spec: KernelSpec, d2: np.ndarray) -> np.ndarray:
+def _kernel_of_sqdist(family: str, output_variance: float, d2: np.ndarray) -> np.ndarray:
     """Covariances at scaled squared distances, overwriting ``d2``.
 
     Works in place because temporaries the size of a posterior query cost
     about as much to allocate as the arithmetic on them.
     """
     np.maximum(d2, 0.0, out=d2)
-    if spec.family in ("rbf", "ard_rbf"):
+    if family in ("rbf", "ard_rbf"):
         d2 *= -0.5
         np.exp(d2, out=d2)
-        d2 *= spec.output_variance
+        d2 *= output_variance
         return d2
     d = np.sqrt(d2)
-    d *= _SQRT3 if spec.family == "matern15" else _SQRT5
+    d *= _SQRT3 if family == "matern15" else _SQRT5
     decay = np.negative(d)
     np.exp(decay, out=decay)
     d += 1.0
-    if spec.family == "matern25":
+    if family == "matern25":
         d2 *= 5.0 / 3.0
         d += d2
-    d *= spec.output_variance
+    d *= output_variance
     d *= decay
     return d
 
@@ -117,7 +120,7 @@ def kernel_matrix(spec: KernelSpec, a, b=None) -> np.ndarray:
     """Cross-covariance matrix between two sets of row-vector inputs."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = a if b is None else np.atleast_2d(np.asarray(b, dtype=float))
-    return _kernel_of_sqdist(spec, _scaled_sqdist(spec, a, b))
+    return _kernel_of_sqdist(spec.family, spec.output_variance, _scaled_sqdist(spec, a, b))
 
 
 def _standardization(y: np.ndarray) -> tuple[float, float]:
@@ -126,17 +129,19 @@ def _standardization(y: np.ndarray) -> tuple[float, float]:
     return float(y.mean()), (scale if scale > 1e-12 else 1.0)
 
 
-def _chol_with_jitter(k: np.ndarray):
-    """Lower Cholesky factor, escalating diagonal jitter on failure."""
-    eye = np.eye(k.shape[0])
-    last = 0.0
+def _chol_with_jitter(k: np.ndarray, eye: np.ndarray):
+    """Lower Cholesky factor, escalating diagonal jitter on failure.
+
+    ``eye`` is the identity of k's size. LAPACK does not check for NaN or
+    infinity, so callers pass finite data.
+    """
     for jitter in _JITTERS:
-        last = jitter
-        try:
-            return cholesky(k + jitter * eye, lower=True), jitter
-        except np.linalg.LinAlgError:
-            continue
-    raise FactorizationError(last)
+        chol, info = dpotrf(k + jitter * eye, lower=1, clean=1)
+        if info == 0:
+            return chol, jitter
+        if info < 0:
+            raise ValueError(f"dpotrf rejected argument {-info}")
+    raise FactorizationError(_JITTERS[-1])
 
 
 class GpModel:
@@ -178,10 +183,11 @@ class GpModel:
     def _refactor(self) -> None:
         k = kernel_matrix(self.kernel, self._z)
         k[np.diag_indices_from(k)] += self.noise_variance
-        self._chol, self.jitter = _chol_with_jitter(k)
+        eye = np.eye(k.shape[0])
+        self._chol, self.jitter = _chol_with_jitter(k, eye)
         # One triangular inverse per factorization turns every posterior
         # query's triangular solve into a single matrix product.
-        self._chol_inv = solve_triangular(self._chol, np.eye(k.shape[0]), lower=True)
+        self._chol_inv = solve_triangular(self._chol, eye, lower=True)
         self._alpha = cho_solve((self._chol, True), self._y_working)
 
     def _extend_factor(self, k_new: np.ndarray) -> bool:
@@ -251,7 +257,7 @@ class GpModel:
         if zq.shape[1] != self.dim:
             raise ValueError("query dimension does not match training inputs")
         d2 = _scaled_sqdist(self.kernel, zq, self._z) if _sqdist is None else _sqdist
-        ks = _kernel_of_sqdist(self.kernel, d2)
+        ks = _kernel_of_sqdist(self.kernel.family, self.kernel.output_variance, d2)
         mean_w = ks @ self._alpha
         v = ks @ self._chol_inv.T
         var_w = self.kernel.output_variance - np.einsum("ij,ij->i", v, v)
@@ -347,6 +353,8 @@ class GpModel:
         y = np.asarray(targets, dtype=float).reshape(-1)
         if z.shape[0] != y.shape[0] or z.shape[0] < 2:
             raise ValueError("fitting needs at least two (input, target) pairs")
+        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(y))):
+            raise ValueError("inputs and targets must be finite")
         dim = z.shape[1]
         n_ls = dim if family == "ard_rbf" else 1
 
@@ -362,9 +370,10 @@ class GpModel:
         hi = np.array([b[1] for b in bounds])
 
         starts = _fit_starts(n_ls, seed, lo, hi)
+        mll_and_grad = _likelihood(z, yw, family, n_ls)
 
         def objective(theta: np.ndarray):
-            value, grad = _mll_and_grad(theta, z, yw, family, n_ls)
+            value, grad = mll_and_grad(theta)
             return -value, -grad
 
         candidates = []
@@ -402,48 +411,66 @@ def _fit_starts(n_ls: int, seed, lo: np.ndarray, hi: np.ndarray):
     return starts
 
 
-def _mll_and_grad(theta: np.ndarray, z: np.ndarray, yw: np.ndarray, family: str, n_ls: int):
-    """Log marginal likelihood and its gradient w.r.t. log hyperparameters."""
+def _likelihood(z: np.ndarray, yw: np.ndarray, family: str, n_ls: int):
+    """Log marginal likelihood of fixed data and its gradient, as a function.
+
+    The function takes the log hyperparameters ``theta`` (log lengthscales,
+    log signal variance, log noise variance). What the data fix is built
+    here once per fit; each call does only the arithmetic that depends on
+    theta.
+    """
     t, dim = z.shape
-    ls = np.exp(theta[:n_ls])
-    out_var = float(np.exp(theta[n_ls]))
-    noise_var = float(np.exp(theta[n_ls + 1]))
-    spec = KernelSpec(family, out_var, ls if n_ls > 1 else float(ls[0]))
-
-    d2 = np.maximum(_scaled_sqdist(spec, z, z), 0.0)
-    kf = _kernel_of_sqdist(spec, d2.copy())
-
-    k = kf + noise_var * np.eye(t)
-    try:
-        chol, _ = _chol_with_jitter(k)
-    except FactorizationError:
-        return -np.inf, np.zeros_like(theta)
-    alpha = cho_solve((chol, True), yw)
-    mll = (
-        -0.5 * float(yw @ alpha)
-        - float(np.sum(np.log(np.diag(chol))))
-        - 0.5 * t * math.log(2.0 * math.pi)
-    )
-
-    # d(mll)/d(theta_j) = 0.5 tr((alpha alpha^T - K^-1) dK/dtheta_j)
-    k_inv = cho_solve((chol, True), np.eye(t))
-    a = np.outer(alpha, alpha) - k_inv
-
-    grad = np.empty_like(theta)
+    eye = np.eye(t)
+    log_norm = 0.5 * t * math.log(2.0 * math.pi)
+    diffs = None
     if family == "ard_rbf":
-        for j in range(dim):
-            diff_j = (z[:, j : j + 1] - z[:, j : j + 1].T) / ls[j]
-            grad[j] = 0.5 * float(np.sum(a * (kf * diff_j**2)))
-    elif family in ("rbf",):
-        grad[0] = 0.5 * float(np.sum(a * (kf * d2)))
-    elif family == "matern15":
-        d = np.sqrt(d2)
-        dk = out_var * 3.0 * d2 * np.exp(-_SQRT3 * d)
-        grad[0] = 0.5 * float(np.sum(a * dk))
-    else:
-        d = np.sqrt(d2)
-        dk = out_var * (5.0 / 3.0) * d2 * (1.0 + _SQRT5 * d) * np.exp(-_SQRT5 * d)
-        grad[0] = 0.5 * float(np.sum(a * dk))
-    grad[n_ls] = 0.5 * float(np.sum(a * kf))
-    grad[n_ls + 1] = 0.5 * noise_var * float(np.trace(a))
-    return mll, grad
+        # Per-dimension input differences, (dim, t, t), C-contiguous so that
+        # each dimension's sum adds in the order its own (t, t) product would.
+        zt = np.ascontiguousarray(z.T)
+        diffs = zt[:, :, None] - zt[:, None, :]
+
+    def mll_and_grad(theta: np.ndarray):
+        ls = np.exp(theta[:n_ls])
+        out_var = float(np.exp(theta[n_ls]))
+        noise_var = float(np.exp(theta[n_ls + 1]))
+
+        zs = z / ls
+        d2 = np.maximum(cdist(zs, zs, metric="sqeuclidean"), 0.0)
+        kf = _kernel_of_sqdist(family, out_var, d2.copy())
+
+        k = kf + noise_var * eye
+        try:
+            chol, _ = _chol_with_jitter(k, eye)
+        except FactorizationError:
+            return -np.inf, np.zeros_like(theta)
+        alpha, _ = dpotrs(chol, yw, lower=1)
+        mll = -0.5 * float(yw @ alpha) - float(np.sum(np.log(np.diag(chol)))) - log_norm
+
+        # d(mll)/d(theta_j) = 0.5 tr((alpha alpha^T - K^-1) dK/dtheta_j)
+        k_inv, _ = dpotrs(chol, eye, lower=1)
+        a = np.outer(alpha, alpha) - k_inv
+
+        grad = np.empty_like(theta)
+        if family == "ard_rbf":
+            scaled = kf[None] * (diffs / ls[:, None, None]) ** 2
+            grad[:n_ls] = 0.5 * (a[None] * scaled).reshape(dim, -1).sum(axis=1)
+        elif family == "rbf":
+            grad[0] = 0.5 * float(np.sum(a * (kf * d2)))
+        elif family == "matern15":
+            d = np.sqrt(d2)
+            dk = out_var * 3.0 * d2 * np.exp(-_SQRT3 * d)
+            grad[0] = 0.5 * float(np.sum(a * dk))
+        else:
+            d = np.sqrt(d2)
+            dk = out_var * (5.0 / 3.0) * d2 * (1.0 + _SQRT5 * d) * np.exp(-_SQRT5 * d)
+            grad[0] = 0.5 * float(np.sum(a * dk))
+        grad[n_ls] = 0.5 * float(np.sum(a * kf))
+        grad[n_ls + 1] = 0.5 * noise_var * float(np.trace(a))
+        return mll, grad
+
+    return mll_and_grad
+
+
+def _mll_and_grad(theta: np.ndarray, z: np.ndarray, yw: np.ndarray, family: str, n_ls: int):
+    """Log marginal likelihood and its gradient w.r.t. log hyperparameters at one theta."""
+    return _likelihood(z, yw, family, n_ls)(theta)

@@ -270,6 +270,30 @@ class TestConfig:
         assert "'kernels'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("realizations", [2]),
+            ("realizations", 1.7),
+            ("realizations", "2"),
+            ("realizations", True),
+            ("baseline_candidates", 4.0),
+            ("baseline_candidates", None),
+            ("realization_id", "0"),
+            ("realization_id", False),
+        ],
+        ids=["list", "float", "string", "bool", "whole_float", "null", "id_string", "id_bool"],
+    )
+    def test_non_integer_config_scalar_exits_before_writing(self, tmp_path, tiny_config,
+                                                             capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(read_json(tiny_config), **{key: value})))
+        out = tmp_path / "out"
+        assert run("experiment", "--scenes", "single", "--config", str(cfg),
+                   "--out", str(out)) == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_int_in_float_field_echoes_as_float(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

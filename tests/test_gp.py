@@ -292,6 +292,24 @@ class TestFit:
                 )
                 assert grad == pytest.approx(fd, abs=1e-5, rel=1e-5)
 
+    def test_ard_gradient_matches_finite_differences_at_experiment_size(self):
+        # The experiment-menu shape: 4 cameras x 5 coordinates, 20 + 5 points.
+        rng = np.random.default_rng(21)
+        z = rng.uniform(0, 1, (25, 20))
+        y = np.sin(3.0 * z[:, 0]) + z[:, 7] + 0.1 * rng.normal(size=25)
+        yw = (y - y.mean()) / y.std()
+        for _ in range(3):
+            theta = np.concatenate(
+                [
+                    rng.uniform(math.log(0.5), math.log(3.0), 20),
+                    [rng.uniform(math.log(0.3), math.log(2.0))],
+                    [rng.uniform(math.log(1e-3), math.log(0.1))],
+                ]
+            )
+            _, grad = _mll_and_grad(theta, z, yw, "ard_rbf", 20)
+            fd = central_difference(lambda th: _mll_and_grad(th, z, yw, "ard_rbf", 20)[0], theta)
+            assert grad == pytest.approx(fd, abs=1e-5, rel=1e-5)
+
     def test_gradient_small_at_interior_optimum(self):
         rng = np.random.default_rng(4)
         z = rng.uniform(0, 1, (25, 2))
@@ -322,6 +340,20 @@ class TestFit:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             GpModel.fit([[0.0]], [1.0])
+
+    def test_rejects_non_finite_data(self):
+        rng = np.random.default_rng(5)
+        z = rng.uniform(0, 1, (8, 2))
+        y = rng.normal(size=8)
+        y_nan = y.copy()
+        y_nan[3] = np.nan
+        z_inf = z.copy()
+        z_inf[2, 1] = np.inf
+        for family in FAMILIES:
+            with pytest.raises(ValueError, match="finite"):
+                GpModel.fit(z, y_nan, family=family)
+            with pytest.raises(ValueError, match="finite"):
+                GpModel.fit(z_inf, y, family=family)
 
 
 class TestModelBookkeeping:
