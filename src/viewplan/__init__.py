@@ -5,6 +5,16 @@ reward over a point cloud, using a Gaussian process surrogate with expected
 improvement, and compares the regret against a circular-formation baseline.
 """
 
+import os
+
+# One BLAS thread per process unless OPENBLAS_NUM_THREADS (MKL_NUM_THREADS
+# for MKL) is set. The experiment's worker processes are the parallelism, and
+# OpenBLAS threads spin while they wait, so more threads than cores slow
+# every cell down. It only takes effect before numpy loads; the console
+# script imports this package first.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
+
 from .acquisition import EiState, ei_value, ei_values, maximize_ei
 from .geometry import (
     CameraPose,

@@ -410,6 +410,7 @@ def cmd_experiment(args) -> int:
                 for rid, b in sorted(report.baselines.items())
             ],
             "errors": dict(sorted(report.errors.items())),
+            "tracebacks": dict(sorted(report.tracebacks.items())),
             "config": _echo(cfg, spec, noise, bo),
         }
         vio.write_json(out / f"{label}_summary.json", summary)

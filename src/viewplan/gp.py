@@ -51,6 +51,10 @@ class FactorizationError(RuntimeError):
         super().__init__(f"Cholesky factorization failed at jitter {jitter:g}")
         self.jitter = jitter
 
+    def __reduce__(self):
+        # args holds the message, so unpickling must rebuild from the jitter.
+        return type(self), (self.jitter,)
+
 
 @dataclass(frozen=True)
 class KernelSpec:

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import traceback
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -354,6 +358,7 @@ class ExperimentReport:
     traces: Dict[Tuple[str, int], RegretTrace] = field(default_factory=dict)
     baselines: Dict[int, BaselineResult] = field(default_factory=dict)
     errors: Dict[str, str] = field(default_factory=dict)
+    tracebacks: Dict[str, str] = field(default_factory=dict)
 
     def mean_bo_regrets(self, kernel: str) -> np.ndarray:
         """Mean regret per sequential iteration across complete realizations."""
@@ -383,6 +388,27 @@ def _cell_seed(master: int, spawn_key: Tuple[int, ...]) -> int:
     return int(np.random.SeedSequence(master, spawn_key=spawn_key).generate_state(1)[0])
 
 
+def _run_cell(name: str, args: tuple):
+    """Run one experiment cell: this module's ``run_bo`` or ``circular_baseline``.
+
+    The function is looked up by name when the cell runs, so a replaced
+    module attribute also applies in a forked worker. Returns ``(result,
+    None, None)``, or ``(None, error, traceback)`` for a cell that raised one
+    of ``_CELL_ERRORS``; any other exception propagates.
+    """
+    try:
+        return globals()[name](*args), None, None
+    except _CELL_ERRORS as err:
+        return None, f"{type(err).__name__}: {err}", traceback.format_exc()
+
+
+def _cell_workers(n_cells: int) -> int:
+    """Worker processes for ``n_cells`` cells: one per usable CPU, at most one per cell."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(n_cells, len(os.sched_getaffinity(0)))
+    return min(n_cells, os.cpu_count() or 1)
+
+
 def run_experiment(
     scene_cloud: PointCloud,
     noise_model: NoiseModel,
@@ -396,10 +422,17 @@ def run_experiment(
 
     Every method (and the baseline) sees the identical noisy cloud within a
     realization. The whole grid is a pure function of the seeds in
-    ``base_config``, ``noise_model`` and the scene itself. Cells run one
-    after another; a cell that fails on bad input or a numerical failure
-    (``ValueError``, ``FactorizationError``) only annotates the report, and
-    any other exception propagates.
+    ``base_config``, ``noise_model`` and the scene itself, so the report does
+    not depend on how the cells are run. With the ``fork`` start method and
+    at least two usable CPUs, the cells run in forked worker processes, one
+    per usable CPU and at most one per cell; otherwise they run one after
+    another in this process. Each worker inherits this process's BLAS thread
+    count, one when the package was imported before numpy (see
+    ``viewplan/__init__.py``); more than one oversubscribes the cores. A cell
+    that fails on bad input or a numerical failure (``ValueError``,
+    ``FactorizationError``) only annotates the report with its error and
+    traceback. Any other exception propagates, cancels the cells not yet
+    started and returns once every worker has exited.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be at least 1")
@@ -419,23 +452,34 @@ def run_experiment(
     }
     master = base_config.rng_seed
 
+    # (label, where the result goes, its key, function name, arguments)
+    cells = []
     for kernel_idx, kernel in enumerate(report.kernels):
         for rid in range(n_realizations):
-            label = f"{kernel}/r{rid}"
             seed = _cell_seed(master, (1, kernel_idx, rid))
             cfg = replace(base_config, kernel=kernel, rng_seed=seed)
-            try:
-                trace = run_bo(cfg, noisy_clouds[rid])
-            except _CELL_ERRORS as err:
-                report.errors[label] = f"{type(err).__name__}: {err}"
-                continue
-            report.traces[(kernel, rid)] = trace
-            if trace.incomplete:
-                report.errors[label] = "incomplete: surrogate factorization failed"
+            cells.append((f"{kernel}/r{rid}", report.traces, (kernel, rid),
+                          "run_bo", (cfg, noisy_clouds[rid])))
     for rid in range(n_realizations):
         cfg = replace(base_config, rng_seed=_cell_seed(master, (2, rid)))
-        try:
-            report.baselines[rid] = circular_baseline(cfg, noisy_clouds[rid], n_candidates=n_baseline)
-        except _CELL_ERRORS as err:
-            report.errors[f"baseline/r{rid}"] = f"{type(err).__name__}: {err}"
+        cells.append((f"baseline/r{rid}", report.baselines, rid,
+                      "circular_baseline", (cfg, noisy_clouds[rid], n_baseline)))
+    labels, targets, keys, names, args = zip(*cells)
+
+    workers = _cell_workers(len(cells))
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            outcomes = list(pool.map(_run_cell, names, args))
+    else:
+        outcomes = list(map(_run_cell, names, args))
+
+    for label, target, key, (result, error, tb) in zip(labels, targets, keys, outcomes):
+        if error is not None:
+            report.errors[label] = error
+            report.tracebacks[label] = tb
+            continue
+        target[key] = result
+        if isinstance(result, RegretTrace) and result.incomplete:
+            report.errors[label] = "incomplete: surrogate factorization failed"
     return report

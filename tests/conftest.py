@@ -1,8 +1,10 @@
 """Shared helpers for building random test instances."""
 
-import numpy as np
+# Imported before numpy, so the tests run one BLAS thread as the command line
+# does (see viewplan/__init__.py).
+from viewplan import CameraPose, Placement, Point3, PointCloud  # isort: skip
 
-from viewplan import CameraPose, Placement, Point3, PointCloud
+import numpy as np
 
 
 def random_instance(rng, n_cams, n_points, aimed_fraction=0.5):

@@ -1,10 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from viewplan import SceneSpec, generate_scene
+import viewplan
+from viewplan import SceneSpec, generate_scene, planner
 from viewplan.cli import main
 from viewplan.io import read_json, read_ply
 
@@ -184,6 +189,7 @@ class TestExperiment:
         assert summary["scene"] == "single"
         assert summary["kernels"] == ["rbf"]
         assert summary["errors"] == {}
+        assert summary["tracebacks"] == {}
         assert len(summary["cells"]) == 2
         assert len(summary["baselines"]) == 2
         assert all(not cell["incomplete"] for cell in summary["cells"])
@@ -191,6 +197,21 @@ class TestExperiment:
         console = capsys.readouterr().out
         assert "scene=single cells=4/4" in console
         assert "rbf: mean_final_regret=" in console
+
+    def test_failed_cells_list_their_tracebacks(self, tmp_path, tiny_config, monkeypatch):
+        def no_circle(*args, **kwargs):
+            raise ValueError("no circle today")
+
+        monkeypatch.setattr(planner, "circular_baseline", no_circle)
+        out = tmp_path / "out"
+        assert self.run_small(out, tiny_config) == 0
+        summary = read_json(out / "single_summary.json")
+        assert summary["errors"] == {
+            "baseline/r0": "ValueError: no circle today",
+            "baseline/r1": "ValueError: no circle today",
+        }
+        assert list(summary["tracebacks"]) == list(summary["errors"])
+        assert all("in no_circle" in tb for tb in summary["tracebacks"].values())
 
     def test_rerun_is_byte_identical(self, tmp_path, tiny_config):
         out = tmp_path / "out"
@@ -344,6 +365,19 @@ class TestHelp:
             assert set(re.findall(r"--[a-z-]+", text)) == common | flags
         if command == "plan":
             assert "ard}" in text
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("given, expect", [(None, "1"), ("3", "3")], ids=["unset", "set"])
+    def test_importing_the_package_first_pins_one_blas_thread(self, given, expect):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if given is not None:
+            env["OPENBLAS_NUM_THREADS"] = given
+        env["PYTHONPATH"] = str(Path(viewplan.__file__).parents[1])
+        code = "import os, viewplan, numpy; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == expect
 
 
 class TestExitCodes:

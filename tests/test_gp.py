@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -245,6 +246,12 @@ class TestFactorization:
             GpModel(KernelSpec("rbf", output_variance=1e16, lengthscales=1e6), 0.0, z, y,
                     standardize=False)
         assert err.value.jitter == pytest.approx(1e-4)
+
+    def test_error_survives_pickling(self):
+        err = pickle.loads(pickle.dumps(FactorizationError(1e-4)))
+        assert type(err) is FactorizationError
+        assert err.jitter == 1e-4
+        assert str(err) == str(FactorizationError(1e-4))
 
 
 class TestFit:

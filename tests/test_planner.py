@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -259,6 +261,38 @@ def tiny_experiment(**overrides):
     return run_experiment(SMALL_CLOUD, NOISE, SMALL_CFG, **kwargs)
 
 
+def assert_same_trace(a, b):
+    assert a.observed == b.observed
+    assert a.incomplete == b.incomplete and a.n_init == b.n_init
+    assert [np.asarray(x).tobytes() for x in a.inputs] == [np.asarray(y).tobytes() for y in b.inputs]
+
+
+def assert_same_report(a, b):
+    assert a.traces.keys() == b.traces.keys()
+    for key in a.traces:
+        assert_same_trace(a.traces[key], b.traces[key])
+    assert a.baselines == b.baselines
+    assert a.errors == b.errors
+    assert a.tracebacks.keys() == b.tracebacks.keys()
+
+
+# Worker counts that exercise both dispatch paths: in-process, then (where
+# fork exists) two worker processes.
+DISPATCHES = [1, 2] if "fork" in multiprocessing.get_all_start_methods() else [1]
+
+
+def run_on(monkeypatch, workers):
+    monkeypatch.setattr(planner_mod, "_cell_workers", lambda n_cells: min(n_cells, workers))
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Run the cells on two worker processes, whatever the CPU count."""
+    if 2 not in DISPATCHES:
+        pytest.skip("the worker pool needs the fork start method")
+    run_on(monkeypatch, 2)
+
+
 class TestRunExperiment:
     def test_grid_is_complete(self):
         report = tiny_experiment()
@@ -311,26 +345,70 @@ class TestRunExperiment:
         expect = np.mean([report.baselines[r].final_regret() for r in range(2)])
         assert report.baseline_mean_regret() == pytest.approx(expect, abs=0)
 
+    def test_one_worker_per_usable_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert planner_mod._cell_workers(9) == 4
+        assert planner_mod._cell_workers(2) == 2
+
+    def test_pooled_cells_match_direct_calls(self, pooled):
+        report = tiny_experiment()
+        for rid in range(2):
+            noisy = apply_noise(SMALL_CLOUD, sample_realization(NOISE, SMALL_CLOUD, rid))
+            for kernel_idx, kernel in enumerate(("rbf", "matern15")):
+                seed = _cell_seed(SMALL_CFG.rng_seed, (1, kernel_idx, rid))
+                trace = run_bo(replace(SMALL_CFG, kernel=kernel, rng_seed=seed), noisy)
+                assert_same_trace(report.traces[(kernel, rid)], trace)
+            seed = _cell_seed(SMALL_CFG.rng_seed, (2, rid))
+            baseline = circular_baseline(replace(SMALL_CFG, rng_seed=seed), noisy, n_candidates=3)
+            assert report.baselines[rid] == baseline
+
+    def test_in_process_report_is_the_same(self, pooled, monkeypatch):
+        pooled = tiny_experiment()
+        run_on(monkeypatch, 1)
+        assert_same_report(tiny_experiment(), pooled)
+
+    def test_no_worker_outlives_the_run(self, pooled):
+        tiny_experiment()
+        assert multiprocessing.active_children() == []
+
     def test_failed_cell_is_isolated(self, monkeypatch):
         def boom(*args, **kwargs):
             raise ValueError("no circle today")
 
         monkeypatch.setattr(planner_mod, "circular_baseline", boom)
-        report = tiny_experiment()
-        assert set(report.errors) == {"baseline/r0", "baseline/r1"}
-        assert report.errors["baseline/r0"] == "ValueError: no circle today"
-        assert set(report.traces) == {
-            ("rbf", 0), ("rbf", 1), ("matern15", 0), ("matern15", 1),
-        }
-        assert report.baselines == {}
+        for workers in DISPATCHES:
+            run_on(monkeypatch, workers)
+            report = tiny_experiment()
+            assert set(report.errors) == {"baseline/r0", "baseline/r1"}
+            assert report.errors["baseline/r0"] == "ValueError: no circle today"
+            assert set(report.traces) == {
+                ("rbf", 0), ("rbf", 1), ("matern15", 0), ("matern15", 1),
+            }
+            assert report.baselines == {}
+
+    def test_failed_cell_keeps_its_traceback(self, monkeypatch):
+        def no_circle(*args, **kwargs):
+            raise ValueError("no circle today")
+
+        monkeypatch.setattr(planner_mod, "circular_baseline", no_circle)
+        for workers in DISPATCHES:
+            run_on(monkeypatch, workers)
+            report = tiny_experiment()
+            assert set(report.tracebacks) == set(report.errors) == {"baseline/r0", "baseline/r1"}
+            for tb in report.tracebacks.values():
+                assert "in no_circle" in tb
+                assert tb.rstrip().endswith("ValueError: no circle today")
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("a bug, not a failed cell")
 
         monkeypatch.setattr(planner_mod, "run_bo", broken)
-        with pytest.raises(TypeError, match="a bug"):
-            tiny_experiment()
+        for workers in DISPATCHES:
+            run_on(monkeypatch, workers)
+            with pytest.raises(TypeError, match="a bug"):
+                tiny_experiment()
+            assert multiprocessing.active_children() == []
 
     def test_validation(self):
         with pytest.raises(ValueError):
