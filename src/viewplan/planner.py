@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import ctypes
 import math
 import multiprocessing
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy
 
 from .acquisition import EiState, maximize_ei
 from .geometry import CameraPose, Placement, Point3, PointCloud, SearchSpace, decode, encode
@@ -323,13 +326,13 @@ def circular_baseline(config: BoConfig, cloud: PointCloud, n_candidates: int = 5
             if np.any(xs < lo[0]) or np.any(xs > hi[0]) or np.any(ys < lo[1]) or np.any(ys > hi[1]):
                 continue
             try:
-                cams = tuple(
+                candidate = Placement(tuple(
                     CameraPose.looking_at((x, y, height), centroid) for x, y in zip(xs, ys)
-                )
-                value = noisy_reward(Placement(cams), cloud, config.reward_params)
+                ))
+                value = noisy_reward(candidate, cloud, config.reward_params)
             except ValueError:
                 continue
-            placement = Placement(cams)
+            placement = candidate
             break
         if placement is None:
             raise ValueError("could not sample an in-box circular candidate")
@@ -409,6 +412,34 @@ def _cell_workers(n_cells: int) -> int:
     return min(n_cells, os.cpu_count() or 1)
 
 
+# The OpenBLAS builds that the numpy and scipy wheels bundle, and the setter
+# each exports for its thread count.
+_BUNDLED_OPENBLAS = (
+    (np, "libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
+    (scipy, "libscipy_openblas-*.so", "scipy_openblas_set_num_threads"),
+)
+
+
+def _one_blas_thread() -> None:
+    """Set every bundled OpenBLAS to one thread; runs first in each cell worker.
+
+    A forked worker inherits its parent's BLAS thread count, which is one per
+    CPU when numpy was imported before this package with
+    ``OPENBLAS_NUM_THREADS`` unset. A library that is not found (another
+    BLAS, or a package built without a bundled one) is skipped.
+    """
+    for package, pattern, setter in _BUNDLED_OPENBLAS:
+        libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
+        for path in sorted(libs.glob(pattern)):
+            try:
+                set_threads = getattr(ctypes.CDLL(str(path)), setter)
+            except (OSError, AttributeError):
+                continue
+            set_threads.argtypes = [ctypes.c_int]
+            set_threads.restype = None
+            set_threads(1)
+
+
 def run_experiment(
     scene_cloud: PointCloud,
     noise_model: NoiseModel,
@@ -426,10 +457,10 @@ def run_experiment(
     not depend on how the cells are run. With the ``fork`` start method and
     at least two usable CPUs, the cells run in forked worker processes, one
     per usable CPU and at most one per cell; otherwise they run one after
-    another in this process. Each worker inherits this process's BLAS thread
-    count, one when the package was imported before numpy (see
-    ``viewplan/__init__.py``); more than one oversubscribes the cores. A cell
-    that fails on bad input or a numerical failure (``ValueError``,
+    another in this process. Each worker sets the OpenBLAS that numpy and
+    scipy bundle to one thread before its first cell, whatever this process
+    uses, so the workers do not oversubscribe the cores. A cell that fails
+    on bad input or a numerical failure (``ValueError``,
     ``FactorizationError``) only annotates the report with its error and
     traceback. Any other exception propagates, cancels the cells not yet
     started and returns once every worker has exited.
@@ -469,7 +500,8 @@ def run_experiment(
     workers = _cell_workers(len(cells))
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        with ProcessPoolExecutor(workers, mp_context=context,
+                                 initializer=_one_blas_thread) as pool:
             outcomes = list(pool.map(_run_cell, names, args))
     else:
         outcomes = list(map(_run_cell, names, args))

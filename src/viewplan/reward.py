@@ -40,37 +40,53 @@ class RewardParams:
 def reward(placement: Placement, cloud: PointCloud, params: RewardParams) -> float:
     """Mean pair quality over all points and unordered camera pairs.
 
-    Vectorized over the cloud; raises ValueError if any camera (numerically)
-    coincides with a point.
+    Vectorized over the cloud on per-axis component arrays of shape (N, P)
+    for N cameras and P points. The work grows with camera pairs x points:
+    every pair tests every point for view and match, and only the matched
+    points reach the cross product. Raises ValueError if any camera
+    (numerically) coincides with a point.
     """
-    pts = cloud.points
+    px, py, pz = np.ascontiguousarray(cloud.points.T)
     cams = placement.positions()
     axes = placement.orientations()
     n = cams.shape[0]
 
-    diff = cams[:, None, :] - pts[None, :, :]  # (N, P, 3), rays p -> camera
-    dist = np.linalg.norm(diff, axis=2)
+    # Rays p -> camera, one (N, P) array per axis.
+    dx = cams[:, 0:1] - px
+    dy = cams[:, 1:2] - py
+    dz = cams[:, 2:3] - pz
+    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
     if np.any(dist < COINCIDENT_EPS):
         raise ValueError("camera coincides with a scene point")
 
     cos_half_fov = math.cos(0.5 * params.fov)
     cos_match = math.cos(params.theta_match)
-    in_view = np.einsum("npk,nk->np", diff, axes) / dist >= cos_half_fov
+    # Dot products sum x, then z, then y, the order numpy's contraction
+    # routine used when these results were first pinned: summed in another
+    # order, a cosine on a view or match threshold can round to its other side.
+    ax, ay, az = axes[:, 0:1], axes[:, 1:2], axes[:, 2:3]
+    in_view = (dx * ax + dz * az + dy * ay) / dist >= cos_half_fov
 
     total = 0.0
     for i in range(n - 1):
         for j in range(i + 1, n):
             denom = dist[i] * dist[j]
-            cos_sep = np.einsum("pk,pk->p", diff[i], diff[j]) / denom
-            mask = in_view[i] & in_view[j] & (np.clip(cos_sep, -1.0, 1.0) >= cos_match)
+            cos_sep = (dx[i] * dx[j] + dz[i] * dz[j] + dy[i] * dy[j]) / denom
+            # cos_match lies in (0, 1), so a cosine rounded past +-1 needs no clip.
+            mask = in_view[i] & in_view[j] & (cos_sep >= cos_match)
             if not np.any(mask):
                 continue
-            cross = np.cross(diff[i][mask], diff[j][mask])
-            quality = np.linalg.norm(cross, axis=1) / denom[mask]
-            total += float(np.sum(np.clip(quality, 0.0, 1.0)))
+            xi, yi, zi = dx[i][mask], dy[i][mask], dz[i][mask]
+            xj, yj, zj = dx[j][mask], dy[j][mask], dz[j][mask]
+            cx = yi * zj - zi * yj
+            cy = zi * xj - xi * zj
+            cz = xi * yj - yi * xj
+            quality = np.sqrt(cx * cx + cy * cy + cz * cz) / denom[mask]
+            # A quality is never negative; rounding can lift it just past 1.
+            total += float(np.sum(np.minimum(quality, 1.0)))
 
     pairs = n * (n - 1) // 2
-    return total / (pts.shape[0] * pairs)
+    return total / (px.shape[0] * pairs)
 
 
 def noisy_reward(placement: Placement, noisy_cloud: PointCloud, params: RewardParams) -> float:

@@ -1,10 +1,14 @@
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from viewplan import (
     BoConfig,
@@ -371,6 +375,15 @@ class TestRunExperiment:
         tiny_experiment()
         assert multiprocessing.active_children() == []
 
+    def test_each_worker_runs_the_blas_initializer(self, pooled, monkeypatch, tmp_path):
+        def record_pid():
+            (tmp_path / str(os.getpid())).touch()
+
+        monkeypatch.setattr(planner_mod, "_one_blas_thread", record_pid)
+        tiny_experiment()
+        pids = {int(f.name) for f in tmp_path.iterdir()}
+        assert pids and os.getpid() not in pids
+
     def test_failed_cell_is_isolated(self, monkeypatch):
         def boom(*args, **kwargs):
             raise ValueError("no circle today")
@@ -415,3 +428,39 @@ class TestRunExperiment:
             tiny_experiment(n_realizations=0)
         with pytest.raises(ValueError):
             tiny_experiment(kernels=("rbf", "spline"))
+
+
+class TestWorkerBlasThreads:
+    # Imports numpy and scipy before the package, with no thread count in the
+    # environment, so each OpenBLAS starts with one thread per CPU; then runs
+    # the worker initializer and prints what each library reports.
+    CHILD = """
+import ctypes, sys
+import numpy, scipy.linalg
+from viewplan import planner
+planner._one_blas_thread()
+for path, name in zip(sys.argv[1::2], sys.argv[2::2]):
+    getter = getattr(ctypes.CDLL(path), name)
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    print(getter())
+"""
+
+    def test_initializer_sets_one_thread_when_numpy_came_first(self):
+        bundled = [
+            (Path(np.__file__).parents[1] / "numpy.libs", "libscipy_openblas64_*.so",
+             "scipy_openblas_get_num_threads64_"),
+            (Path(scipy.__file__).parents[1] / "scipy.libs", "libscipy_openblas-*.so",
+             "scipy_openblas_get_num_threads"),
+        ]
+        argv = []
+        for libs, pattern, getter in bundled:
+            for path in sorted(libs.glob(pattern)):
+                argv += [str(path), getter]
+        if not argv:
+            pytest.skip("neither numpy nor scipy bundles OpenBLAS here")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(planner_mod.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", self.CHILD, *argv], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["1"] * (len(argv) // 2)

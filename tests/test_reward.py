@@ -7,12 +7,16 @@ from conftest import as_cloud, as_placement, random_instance
 from oracles import reward_bruteforce
 
 from viewplan import (
+    BoConfig,
     CameraPose,
     Placement,
     Point3,
     PointCloud,
     RewardParams,
+    SearchSpace,
     apply_noise,
+    circular_baseline,
+    decode,
     generate_scene,
     noisy_reward,
     reward,
@@ -350,3 +354,41 @@ class TestNoisyReward:
         assert values[0] != values[1]
         for v in values:
             assert 0.0 <= v <= 1.0
+
+
+def pinned_cloud(layout, seed):
+    """Realization 0 of a small seeded scene, noise seeded with ``seed + 1``."""
+    clean = generate_scene(SceneSpec(layout, points_per_plant=200, rng_seed=seed))
+    return apply_noise(clean, sample_realization(NoiseModel(rng_seed=seed + 1), clean, 0))
+
+
+class TestRewardBits:
+    """Exact ``float.hex()`` of the reward on fixed placements.
+
+    The oracle comparisons above allow 1e-12; these catch a change in the
+    last bit. A key is (layout, scene seed, placement): ``"baseline"`` is the
+    circular baseline's winner, an integer seeds a uniform draw that is
+    decoded to a placement. Every pinned value has matched pair terms.
+    """
+
+    PINNED = {
+        ("row3", 11, "baseline"): "0x1.55534f02d3980p-4",
+        ("row3", 11, 21): "0x1.28c786a285e28p-5",
+        ("row3", 11, 55): "0x1.06ff067b993c8p-4",
+        ("grid9", 12, "baseline"): "0x1.86ecea8a2f239p-4",
+        ("grid9", 12, 21): "0x1.a6171590578c9p-6",
+        ("grid9", 12, 55): "0x1.62d79ae6a231fp-5",
+    }
+
+    @pytest.mark.parametrize("layout, seed, which", list(PINNED),
+                             ids=[f"{layout}-{which}" for layout, _, which in PINNED])
+    def test_bits(self, layout, seed, which):
+        cloud = pinned_cloud(layout, seed)
+        if which == "baseline":
+            placement = circular_baseline(BoConfig(n_cameras=6, rng_seed=seed), cloud,
+                                          n_candidates=8).placement
+        else:
+            draw = np.random.default_rng(which).uniform(0.0, 1.0, 30)
+            placement = decode(draw, SearchSpace.default())
+        value = reward(placement, cloud, RewardParams())
+        assert value.hex() == self.PINNED[layout, seed, which]
