@@ -207,9 +207,8 @@ def _load_config(args) -> dict:
     except ValueError as err:
         raise ValueError(f"config key 'kernels': {err}") from None
     for key in ("realizations", "baseline_candidates", "realization_id"):
-        if isinstance(cfg[key], bool) or not isinstance(cfg[key], int):
-            raise ValueError(f"config key {key!r} must be an integer, got {cfg[key]!r}")
-    seed = cfg["bo"]["rng_seed"]
+        _check_integer(key, cfg[key])
+    seed = _check_integer("rng_seed", cfg["bo"]["rng_seed"])
     if cfg["scene"]["rng_seed"] is None:
         cfg["scene"]["rng_seed"] = seed + 1000
     if cfg["noise"]["rng_seed"] is None:
@@ -217,18 +216,31 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _build(cls, section: dict, **resolved):
-    """``cls`` from its config section, float and int fields cast.
+def _check_integer(key: str, value):
+    """``value`` if it is a JSON integer; raises ValueError naming ``key`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+    return value
 
-    A bool field takes only ``true`` or ``false``; ``bool("false")`` is true.
+
+def _build(cls, section: dict, **resolved):
+    """``cls`` from its config section, scalar fields checked.
+
+    A bool field takes only ``true`` or ``false`` and an int field only a
+    JSON integer. A float field takes any JSON number and holds it as a
+    float, so ``1`` echoes as ``1.0``.
     """
     hints = typing.get_type_hints(cls)
     kwargs = {**section, **resolved}
     for key, value in kwargs.items():
         if hints[key] is bool and not isinstance(value, bool):
             raise ValueError(f"config key {key!r} must be true or false, got {value!r}")
-        if hints[key] in (float, int):
-            kwargs[key] = hints[key](value)
+        elif hints[key] is int:
+            _check_integer(key, value)
+        elif hints[key] is float:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"config key {key!r} must be a number, got {value!r}")
+            kwargs[key] = float(value)
     return cls(**kwargs)
 
 
@@ -368,12 +380,12 @@ def cmd_experiment(args) -> int:
     cfg = _load_config(args)
     if cfg["scene_path"]:
         raise ValueError("experiment runs the layouts named by --scenes; drop scene_path")
+    typed = [_typed(cfg, layout=layout) for layout in args.scenes]
     out = _out_dir(cfg)
 
     exit_code = 0
     all_failed = True
-    for layout in args.scenes:
-        spec, noise, bo = _typed(cfg, layout=layout)
+    for spec, noise, bo in typed:
         cloud, label = _scene_cloud(cfg, spec)
         report = run_experiment(
             cloud,

@@ -28,6 +28,26 @@ def _as_vec3(value) -> np.ndarray:
     return v
 
 
+def _unit(v: np.ndarray, message: str = "orientation must be a nonzero vector") -> np.ndarray:
+    """``v`` scaled to unit length, or ``v`` itself when its length is within 1e-12 of 1.
+
+    Raises ValueError with ``message`` for a vector shorter than 1e-12.
+    """
+    n = float(np.linalg.norm(v))
+    if n < 1e-12:
+        raise ValueError(message)
+    return v / n if abs(n - 1.0) > 1e-12 else v
+
+
+def _angles(axis) -> Tuple[float, float]:
+    """Encoded angles of a unit view axis: azimuth / 2pi, (elevation + pi/2) / pi."""
+    az = math.atan2(axis[1], axis[0])
+    if az < 0.0:
+        az += _TWO_PI
+    el = math.asin(min(1.0, max(-1.0, float(axis[2]))))
+    return az / _TWO_PI, (el + 0.5 * math.pi) / math.pi
+
+
 @dataclass(frozen=True)
 class Point3:
     """A point in 3D space, meters."""
@@ -67,21 +87,16 @@ class CameraPose:
 
     def __post_init__(self):
         o = self.orientation.as_array()
-        n = float(np.linalg.norm(o))
-        if n < 1e-12:
-            raise ValueError("orientation must be a nonzero vector")
-        if abs(n - 1.0) > 1e-12:
-            o = o / n
-            object.__setattr__(self, "orientation", Point3.from_array(o))
+        unit = _unit(o)
+        if unit is not o:
+            object.__setattr__(self, "orientation", Point3.from_array(unit))
 
     @classmethod
     def looking_at(cls, position, target) -> "CameraPose":
         """Pose at ``position`` whose view cone is centered on ``target``."""
         p = _as_vec3(position if not isinstance(position, Point3) else position.as_array())
         t = _as_vec3(target if not isinstance(target, Point3) else target.as_array())
-        axis = p - t
-        if float(np.linalg.norm(axis)) < 1e-12:
-            raise ValueError("camera position coincides with look-at target")
+        axis = _unit(p - t, "camera position coincides with look-at target")
         return cls(Point3.from_array(p), Point3.from_array(axis))
 
     def viewing_direction(self) -> np.ndarray:
@@ -203,14 +218,8 @@ def encode(placement: Placement, space: SearchSpace) -> np.ndarray:
         p = cam.position.as_array()
         if np.any(p < lo - 1e-12) or np.any(p > lo + ext + 1e-12):
             raise ValueError("camera position outside the search box")
-        o = cam.orientation.as_array()
-        az = math.atan2(o[1], o[0])
-        if az < 0.0:
-            az += _TWO_PI
-        el = math.asin(min(1.0, max(-1.0, float(o[2]))))
         out[5 * k : 5 * k + 3] = (p - lo) / ext
-        out[5 * k + 3] = az / _TWO_PI
-        out[5 * k + 4] = (el + 0.5 * math.pi) / math.pi
+        out[5 * k + 3 : 5 * k + 5] = _angles(cam.orientation.as_array())
     return out
 
 

@@ -473,8 +473,3 @@ def _likelihood(z: np.ndarray, yw: np.ndarray, family: str, n_ls: int):
         return mll, grad
 
     return mll_and_grad
-
-
-def _mll_and_grad(theta: np.ndarray, z: np.ndarray, yw: np.ndarray, family: str, n_ls: int):
-    """Log marginal likelihood and its gradient w.r.t. log hyperparameters at one theta."""
-    return _likelihood(z, yw, family, n_ls)(theta)

@@ -10,13 +10,13 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 import scipy
 
 from .acquisition import EiState, maximize_ei
-from .geometry import CameraPose, Placement, Point3, PointCloud, SearchSpace, decode, encode
+from .geometry import CameraPose, Placement, PointCloud, SearchSpace, _angles, _unit, decode
 from .gp import KERNEL_FAMILIES, FactorizationError, GpModel
 from .reward import RewardParams, noisy_reward
 from .scene import NoiseModel, sample_realization, apply_noise
@@ -37,8 +37,6 @@ __all__ = [
 # Regret reference: rewards live in [0, 1], so 1 upper-bounds any placement's
 # value and gives a scene-independent target shared by all methods.
 OPTIMUM_VALUE = 1.0
-
-_EVAL_RETRIES = 100
 
 # Largest angle the optimizer searches between a view axis and the direction
 # from the cloud centroid to its camera.
@@ -147,8 +145,8 @@ class BaselineResult:
             yield (t + 1, "baseline", float(value), float(best[t]), simple_regret(float(best[t])))
 
 
-def _aimed_placement(vec: np.ndarray, space: SearchSpace, centroid: np.ndarray) -> Placement:
-    """Placement described by a vector of centroid-relative search coordinates.
+def _aimed_encoding(vec: np.ndarray, space: SearchSpace, centroid: np.ndarray) -> np.ndarray:
+    """The :func:`encode` vector of a placement given in centroid-relative search coordinates.
 
     Per camera: scaled x, y, z as in :func:`encode`, then an azimuth (times
     2pi) and a tilt (times pi/4) of the view axis around the direction from
@@ -158,10 +156,11 @@ def _aimed_placement(vec: np.ndarray, space: SearchSpace, centroid: np.ndarray) 
     """
     lo = np.array(space.lower)
     ext = space.extent()
-    cams = []
-    for chunk in np.asarray(vec, dtype=float).reshape(-1, 5):
+    chunks = np.asarray(vec, dtype=float).reshape(-1, 5)
+    out = np.empty(chunks.shape)
+    for chunk, row in zip(chunks, out):
         pos = lo + chunk[:3] * ext
-        aim = CameraPose.looking_at(pos, centroid).orientation.as_array()
+        aim = _unit(pos - centroid, "camera position coincides with look-at target")
         # (u, v) spans the plane normal to aim; x stands in for the vertical
         # when the camera sits straight above or below the centroid
         u = np.cross((0.0, 0.0, 1.0), aim)
@@ -172,69 +171,24 @@ def _aimed_placement(vec: np.ndarray, space: SearchSpace, centroid: np.ndarray) 
         az = chunk[3] * math.tau
         tilt = chunk[4] * _MAX_TILT
         axis = math.cos(tilt) * aim + math.sin(tilt) * (math.cos(az) * u + math.sin(az) * v)
-        cams.append(CameraPose(Point3.from_array(pos), Point3.from_array(axis)))
-    return Placement(tuple(cams))
+        row[:3] = (pos - lo) / ext
+        row[3:] = _angles(_unit(axis))
+    return out.reshape(-1)
 
 
-class _Objective:
-    """Noisy reward of placements given in centroid-relative search coordinates.
-
-    A call maps its search vector to a placement with :func:`_aimed_placement`
-    around the centroid of ``cloud``, takes that placement's absolute
-    :func:`encode` vector ``z`` and scores ``decode(z)``, so
-    ``reward(decode(z, space))`` reproduces the returned value bit for bit.
-    Each successful call appends its search vector to ``searched`` and ``z``
-    to ``encoded``.
-    """
-
-    def __init__(self, config: BoConfig, cloud: PointCloud):
-        self.config = config
-        self.cloud = cloud
-        self.centroid = cloud.centroid()
-        self.searched: list = []
-        self.encoded: list = []
-
-    def __call__(self, vec: np.ndarray) -> float:
-        space = self.config.space
-        z = encode(_aimed_placement(vec, space, self.centroid), space)
-        value = noisy_reward(decode(z, space), self.cloud, self.config.reward_params)
-        self.searched.append(np.array(vec, dtype=float))
-        self.encoded.append(z)
-        return value
-
-
-def _nudged(vec: np.ndarray, attempt: int, rng: np.random.Generator) -> np.ndarray:
-    return np.clip(vec + rng.uniform(-1e-8, 1e-8, vec.shape) * (attempt + 1), 0.0, 1.0)
-
-
-def init_design(config: BoConfig, cloud: PointCloud,
-                objective: Optional[_Objective] = None) -> Tuple[np.ndarray, np.ndarray]:
+def init_design(config: BoConfig, cloud: PointCloud) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Seeded design, uniform in the centroid-relative search coordinates.
 
-    Returns the absolute :func:`encode` vectors of the evaluated placements
-    and their observed values. Draws whose
-    placement puts a camera on a scene point or on the cloud centroid are
-    redrawn, up to 100 times each.
+    Returns ``(xs, zs, ys)``: the search coordinates, the absolute
+    :func:`encode` vectors of their placements and the observed values,
+    each ``ys[k]`` the noisy reward of ``decode(zs[k])``.
     """
-    obj = objective or _Objective(config, cloud)
-    ss = np.random.SeedSequence(config.rng_seed, spawn_key=(0,))
-    rng = np.random.default_rng(ss)
-    d = config.dim()
-    zs = np.empty((config.n_init, d))
-    ys = np.empty(config.n_init)
-    for k in range(config.n_init):
-        last_err = None
-        for _ in range(_EVAL_RETRIES):
-            try:
-                ys[k] = obj(rng.uniform(0.0, 1.0, d))
-                zs[k] = obj.encoded[-1]
-                last_err = None
-                break
-            except ValueError as err:
-                last_err = err
-        if last_err is not None:
-            raise last_err
-    return zs, ys
+    rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed, spawn_key=(0,)))
+    xs = rng.uniform(0.0, 1.0, (config.n_init, config.dim()))
+    centroid = cloud.centroid()
+    zs = np.array([_aimed_encoding(x, config.space, centroid) for x in xs])
+    ys = np.array([noisy_reward(decode(z, config.space), cloud, config.reward_params) for z in zs])
+    return xs, zs, ys
 
 
 def run_bo(config: BoConfig, cloud: PointCloud) -> RegretTrace:
@@ -246,23 +200,19 @@ def run_bo(config: BoConfig, cloud: PointCloud) -> RegretTrace:
     Hyperparameters are fitted once on the initial design (optionally
     refreshed every ``refit_every`` queries) and frozen in between. A
     factorization failure ends the run early with the trace flagged
-    incomplete rather than raising.
+    incomplete rather than raising; a placement that cannot be scored (a
+    camera on a scene point or on the centroid) raises ValueError.
     """
-    objective = _Objective(config, cloud)
-    zs, ys = init_design(config, cloud, objective)
-    trace = RegretTrace(
-        inputs=[z.copy() for z in zs],
-        observed=[float(v) for v in ys],
-        n_init=config.n_init,
-    )
+    xs, zs, ys = init_design(config, cloud)
+    trace = RegretTrace(inputs=list(zs), observed=[float(v) for v in ys], n_init=config.n_init)
+    centroid = cloud.centroid()
 
     fit_seed = np.random.SeedSequence(config.rng_seed, spawn_key=(1,))
     af_rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed, spawn_key=(2,)))
     af_seeds = af_rng.integers(0, 2**31 - 1, size=max(config.n_iters, 1))
-    nudge_rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed, spawn_key=(3,)))
 
     try:
-        model = GpModel.fit(np.asarray(objective.searched), ys, family=config.kernel, seed=fit_seed)
+        model = GpModel.fit(xs, ys, family=config.kernel, seed=fit_seed)
     except FactorizationError:
         trace.incomplete = True
         return trace
@@ -272,21 +222,14 @@ def run_bo(config: BoConfig, cloud: PointCloud) -> RegretTrace:
             if config.refit_every and t > 0 and t % config.refit_every == 0:
                 model = GpModel.fit(model.inputs, model.targets, family=config.kernel, seed=fit_seed)
             state = EiState.from_model(model)
-            vec = maximize_ei(state, budget=config.af_budget, rng_seed=int(af_seeds[t]))
-            value = None
-            for attempt in range(_EVAL_RETRIES):
-                try:
-                    value = objective(vec)
-                    break
-                except ValueError:
-                    vec = _nudged(vec, attempt, nudge_rng)
-            if value is None:
-                raise ValueError("could not evaluate the suggested placement")
-            model.add_observation(vec, value)
+            x = maximize_ei(state, budget=config.af_budget, rng_seed=int(af_seeds[t]))
+            z = _aimed_encoding(x, config.space, centroid)
+            value = noisy_reward(decode(z, config.space), cloud, config.reward_params)
+            model.add_observation(x, value)
         except FactorizationError:
             trace.incomplete = True
             break
-        trace.inputs.append(objective.encoded[-1])
+        trace.inputs.append(z)
         trace.observed.append(float(value))
     return trace
 
@@ -317,25 +260,19 @@ def circular_baseline(config: BoConfig, cloud: PointCloud, n_candidates: int = 5
     values, radii, heights = [], [], []
     best_value, best_placement = -math.inf, None
     for _ in range(n_candidates):
-        placement = None
         for _ in range(1000):
             radius = rng.uniform(r_enclose, r_cap)
             height = rng.uniform(lo[2], hi[2])
             xs = centroid[0] + radius * np.cos(angles)
             ys = centroid[1] + radius * np.sin(angles)
-            if np.any(xs < lo[0]) or np.any(xs > hi[0]) or np.any(ys < lo[1]) or np.any(ys > hi[1]):
-                continue
-            try:
-                candidate = Placement(tuple(
-                    CameraPose.looking_at((x, y, height), centroid) for x, y in zip(xs, ys)
-                ))
-                value = noisy_reward(candidate, cloud, config.reward_params)
-            except ValueError:
-                continue
-            placement = candidate
-            break
-        if placement is None:
+            if lo[0] <= xs.min() and xs.max() <= hi[0] and lo[1] <= ys.min() and ys.max() <= hi[1]:
+                break
+        else:
             raise ValueError("could not sample an in-box circular candidate")
+        placement = Placement(tuple(
+            CameraPose.looking_at((x, y, height), centroid) for x, y in zip(xs, ys)
+        ))
+        value = noisy_reward(placement, cloud, config.reward_params)
         values.append(value)
         radii.append(radius)
         heights.append(height)

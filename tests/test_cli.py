@@ -315,6 +315,33 @@ class TestConfig:
         assert repr(key) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("bo", "n_iters", 2.9),
+            ("bo", "n_iters", "2"),
+            ("bo", "n_iters", True),
+            ("bo", "n_init", 4.0),
+            ("bo", "n_cameras", 2.5),
+            ("bo", "rng_seed", "2"),
+            ("noise", "sigma", "0.1"),
+            ("noise", "sigma", True),
+        ],
+        ids=["float", "string", "bool", "whole_float", "cameras_float", "seed_string",
+             "float_string", "float_bool"],
+    )
+    def test_bad_section_scalar_exits_before_writing(self, tmp_path, tiny_config, capsys,
+                                                     section, key, value):
+        payload = read_json(tiny_config)
+        payload.setdefault(section, {})[key] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert run("experiment", "--scenes", "single", "--config", str(cfg),
+                   "--out", str(out)) == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_int_in_float_field_echoes_as_float(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

@@ -7,7 +7,7 @@ import pytest
 from oracles import central_difference, kernel_value, mll_dense, posterior_dense
 
 from viewplan import FactorizationError, GpModel, KernelSpec, kernel_matrix
-from viewplan.gp import _LS_BOUNDS, _NOISE_BOUNDS, _VAR_BOUNDS, _fit_starts, _mll_and_grad
+from viewplan.gp import _LS_BOUNDS, _NOISE_BOUNDS, _VAR_BOUNDS, _fit_starts, _likelihood
 
 FAMILIES = ("rbf", "ard_rbf", "matern15", "matern25")
 
@@ -275,7 +275,7 @@ class TestFit:
             lo = np.log([_LS_BOUNDS[0]] * n_ls + [_VAR_BOUNDS[0], _NOISE_BOUNDS[0]])
             hi = np.log([_LS_BOUNDS[1]] * n_ls + [_VAR_BOUNDS[1], _NOISE_BOUNDS[1]])
             for theta in _fit_starts(n_ls, 3, lo, hi):
-                start_mll, _ = _mll_and_grad(theta, z, yw, family, n_ls)
+                start_mll, _ = _likelihood(z, yw, family, n_ls)(theta)
                 assert fitted_mll >= start_mll - 1e-9
 
     def test_analytic_gradient_matches_finite_differences(self):
@@ -293,9 +293,9 @@ class TestFit:
                         [rng.uniform(math.log(1e-3), math.log(0.1))],
                     ]
                 )
-                _, grad = _mll_and_grad(theta, z, yw, family, n_ls)
+                _, grad = _likelihood(z, yw, family, n_ls)(theta)
                 fd = central_difference(
-                    lambda th: _mll_and_grad(th, z, yw, family, n_ls)[0], theta
+                    lambda th: _likelihood(z, yw, family, n_ls)(th)[0], theta
                 )
                 assert grad == pytest.approx(fd, abs=1e-5, rel=1e-5)
 
@@ -313,8 +313,8 @@ class TestFit:
                     [rng.uniform(math.log(1e-3), math.log(0.1))],
                 ]
             )
-            _, grad = _mll_and_grad(theta, z, yw, "ard_rbf", 20)
-            fd = central_difference(lambda th: _mll_and_grad(th, z, yw, "ard_rbf", 20)[0], theta)
+            _, grad = _likelihood(z, yw, "ard_rbf", 20)(theta)
+            fd = central_difference(lambda th: _likelihood(z, yw, "ard_rbf", 20)(th)[0], theta)
             assert grad == pytest.approx(fd, abs=1e-5, rel=1e-5)
 
     def test_gradient_small_at_interior_optimum(self):
@@ -329,7 +329,7 @@ class TestFit:
         interior = np.all(theta > lo + 1e-3) and np.all(theta < hi - 1e-3)
         assert interior, "expected an interior optimum for this dataset"
         yw = (y - model.y_mean) / model.y_scale
-        fd = central_difference(lambda th: _mll_and_grad(th, z, yw, "matern25", 1)[0], theta)
+        fd = central_difference(lambda th: _likelihood(z, yw, "matern25", 1)(th)[0], theta)
         assert np.linalg.norm(fd) <= 1e-4
 
     def test_deterministic(self):

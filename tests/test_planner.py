@@ -14,6 +14,7 @@ from viewplan import (
     BoConfig,
     FactorizationError,
     NoiseModel,
+    PointCloud,
     RegretTrace,
     SceneSpec,
     SearchSpace,
@@ -29,7 +30,7 @@ from viewplan import (
     simple_regret,
 )
 from viewplan import planner as planner_mod
-from viewplan.planner import _cell_seed
+from viewplan.planner import _aimed_encoding, _cell_seed
 
 
 SMALL_CLOUD = generate_scene(SceneSpec(layout="single", points_per_plant=12, rng_seed=3))
@@ -107,9 +108,22 @@ class TestRegretTrace:
         assert len(self.make([0.1, 0.2, 0.3])) == 3
 
 
+def fail_first_query(monkeypatch, n_init):
+    """Make the first query after an ``n_init``-point design in this process raise ValueError."""
+    calls = []
+
+    def flaky(*args):
+        calls.append(args)
+        if len(calls) == n_init + 1:
+            raise ValueError("camera on a scene point")
+        return noisy_reward(*args)
+
+    monkeypatch.setattr(planner_mod, "noisy_reward", flaky)
+
+
 class TestInitDesign:
     def test_shape_and_range(self):
-        zs, ys = init_design(SMALL_CFG, SMALL_CLOUD)
+        _, zs, ys = init_design(SMALL_CFG, SMALL_CLOUD)
         assert zs.shape == (4, 10)
         assert ys.shape == (4,)
         assert np.all(zs >= 0.0) and np.all(zs <= 1.0)
@@ -117,15 +131,15 @@ class TestInitDesign:
     def test_deterministic(self):
         a = init_design(SMALL_CFG, SMALL_CLOUD)
         b = init_design(SMALL_CFG, SMALL_CLOUD)
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_seed_changes_design(self):
-        a, _ = init_design(SMALL_CFG, SMALL_CLOUD)
-        b, _ = init_design(replace(SMALL_CFG, rng_seed=6), SMALL_CLOUD)
+        _, a, _ = init_design(SMALL_CFG, SMALL_CLOUD)
+        _, b, _ = init_design(replace(SMALL_CFG, rng_seed=6), SMALL_CLOUD)
         assert not np.array_equal(a, b)
 
     def test_values_are_decoded_rewards(self):
-        zs, ys = init_design(SMALL_CFG, SMALL_CLOUD)
+        _, zs, ys = init_design(SMALL_CFG, SMALL_CLOUD)
         for z, y in zip(zs, ys):
             placement = decode(z, SMALL_CFG.space)
             assert y == noisy_reward(placement, SMALL_CLOUD, SMALL_CFG.reward_params)
@@ -136,7 +150,7 @@ class TestRunBo:
         trace = run_bo(SMALL_CFG, SMALL_CLOUD)
         assert len(trace) == SMALL_CFG.n_init + SMALL_CFG.n_iters
         assert not trace.incomplete
-        zs, ys = init_design(SMALL_CFG, SMALL_CLOUD)
+        _, zs, ys = init_design(SMALL_CFG, SMALL_CLOUD)
         assert np.array_equal(np.asarray(trace.inputs[:4]), zs)
         assert trace.observed[:4] == [float(v) for v in ys]
 
@@ -149,7 +163,7 @@ class TestRunBo:
     def test_zero_iters_is_design_only(self):
         trace = run_bo(replace(SMALL_CFG, n_iters=0), SMALL_CLOUD)
         assert len(trace) == SMALL_CFG.n_init
-        _, ys = init_design(SMALL_CFG, SMALL_CLOUD)
+        _, _, ys = init_design(SMALL_CFG, SMALL_CLOUD)
         assert trace.best_value() == max(float(v) for v in ys)
 
     def test_deterministic(self):
@@ -179,6 +193,11 @@ class TestRunBo:
                 cos_tilt = cam.orientation.as_array() @ to_cam / np.linalg.norm(to_cam)
                 assert math.acos(min(1.0, cos_tilt)) <= math.pi / 4 + 1e-9
 
+    def test_evaluation_error_fails_the_run(self, monkeypatch):
+        fail_first_query(monkeypatch, SMALL_CFG.n_init)
+        with pytest.raises(ValueError, match="camera on a scene point"):
+            run_bo(SMALL_CFG, SMALL_CLOUD)
+
     def test_factorization_failure_flags_trace(self, monkeypatch):
         def boom(*args, **kwargs):
             raise FactorizationError(1e-4)
@@ -187,6 +206,102 @@ class TestRunBo:
         trace = run_bo(SMALL_CFG, SMALL_CLOUD)
         assert trace.incomplete
         assert len(trace) == SMALL_CFG.n_init
+
+
+def noisy_scene(layout, seed):
+    """Realization 0 of a seeded scene with 100 points per plant."""
+    clean = generate_scene(SceneSpec(layout=layout, points_per_plant=100, rng_seed=seed))
+    return apply_noise(clean, sample_realization(NoiseModel(rng_seed=seed + 1), clean, 0))
+
+
+class TestEvaluationBits:
+    """Exact ``float.hex()`` of the design and of aimed encodings.
+
+    The values are those of :func:`encode` applied to the same placements
+    built as ``CameraPose`` objects (position, then the view axis aimed at
+    the centroid and tilted), with the reward of each design row on top. A
+    change in the last bit of a position, an angle or a reward fails here.
+    """
+
+    # (layout, scene seed) -> (zs, ys) of a 2-point design with 3 cameras,
+    # seeded with the scene seed.
+    DESIGN = {
+        ("row3", 11): (
+            [
+                "0x1.c7eb1175711bdp-1", "0x1.ae029e75712cap-1", "0x1.5567cbf921f1ep-1",
+                "0x1.06ee5ae9732ffp-3", "0x1.6c55ce29dd532p-1", "0x1.359ea57d849f6p-2",
+                "0x1.a4e7713ab4166p-5", "0x1.e3c35ed3f5ee7p-1", "0x1.39944f7b4b4a5p-1",
+                "0x1.766e6295bae7bp-1", "0x1.7840f51bf24eap-1", "0x1.d2addc1d93dc3p-1",
+                "0x1.ca1f9d3b38ec9p-1", "0x1.d64e4846ce63ap-4", "0x1.6b4d81425e5f1p-1",
+                "0x1.fd1497e13bf30p-4", "0x1.587001d95b881p-1", "0x1.ba0abe0ed2a1cp-3",
+                "0x1.c2a2acff4a78ap-2", "0x1.0e487226f1405p-1", "0x1.1473b534f2c03p-3",
+                "0x1.9601ac1ad923dp-1", "0x1.e4a067c827c51p-4", "0x1.9292e63c6da2fp-2",
+                "0x1.d489e759fef50p-2", "0x1.f6d4ceb562eb8p-1", "0x1.df61769519a76p-1",
+                "0x1.2532e705620fap-2", "0x1.dcfced2523960p-4", "0x1.d9607973f886bp-2",
+            ],
+            ["0x1.609d140cd31a7p-4", "0x1.4011b58d924f1p-4"],
+        ),
+        ("grid9", 12): (
+            [
+                "0x1.707edad2d324ap-1", "0x1.01260be767dffp-1", "0x1.8ab553a8ccbd8p-2",
+                "0x1.eb2ac80e3b08fp-1", "0x1.9b9ff23cda68ap-2", "0x1.da0db1a4a291ap-1",
+                "0x1.4d799afe21fbap-1", "0x1.c431280e69be1p-3", "0x1.f87a412d831f1p-1",
+                "0x1.874710e53b9f3p-2", "0x1.b638186dee1a0p-4", "0x1.2b130b75d7a1dp-3",
+                "0x1.0eed2f6a15399p-1", "0x1.2ca14a20b991ap-1", "0x1.1ed37b28f9ee6p-2",
+                "0x1.71ce6cd53e83dp-1", "0x1.0a1e4807a7f49p-1", "0x1.67b637d0cf7a7p-4",
+                "0x1.e5249200de90bp-1", "0x1.b5142ba5f1870p-2", "0x1.5baac7d2ef468p-3",
+                "0x1.45752f2a86220p-2", "0x1.36a893be06c3dp-1", "0x1.376b2847c7694p-1",
+                "0x1.f2f553b2c6165p-2", "0x1.e6adf499d31d0p-1", "0x1.4480a6ef550d4p-2",
+                "0x1.b943725d53d40p-2", "0x1.c060fe86a730ap-1", "0x1.fa914c0b0bf3ap-2",
+            ],
+            ["0x1.eadc50bcfacb6p-5", "0x1.d65d2fab52002p-5"],
+        ),
+    }
+
+    @pytest.mark.parametrize("layout, seed", list(DESIGN), ids=[k[0] for k in DESIGN])
+    def test_design(self, layout, seed):
+        cfg = BoConfig(n_cameras=3, n_init=2, rng_seed=seed)
+        xs, zs, ys = init_design(cfg, noisy_scene(layout, seed))
+        assert xs.shape == zs.shape == (2, 15)
+        assert [v.hex() for v in zs.ravel()] == self.DESIGN[layout, seed][0]
+        assert [v.hex() for v in ys] == self.DESIGN[layout, seed][1]
+
+    # Its centroid is (0, 0, 0.4): a camera at x = y = 0.5 in the default box
+    # sits straight above or below it, where the tilt falls back to the x axis.
+    EDGE_CLOUD = PointCloud([(-1.0, 0.0, 0.3), (1.0, 0.0, 0.3), (0.0, -1.0, 0.5), (0.0, 1.0, 0.5)])
+
+    # name -> (search vector, encode vector)
+    AIMED = {
+        "corners": (
+            [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+            [
+                "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+                "0x1.4000000000000p-1", "0x1.dfd66368f9919p-2", "0x1.0000000000000p+0",
+                "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0208c26825cb9p-2",
+                "0x1.198990c452c25p-1",
+            ],
+        ),
+        "above_below": (
+            [0.5, 0.5, 1.0, 0.25, 1.0, 0.5, 0.5, 0.0, 0.75, 1.0],
+            [
+                "0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x1.0000000000000p+0",
+                "0x1.0000000000000p+0", "0x1.8000000000000p-1", "0x1.0000000000000p-1",
+                "0x1.0000000000000p-1", "0x0.0p+0", "0x1.0000000000000p-1",
+                "0x1.fffffffffffffp-3",
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(AIMED))
+    def test_aimed_encoding(self, name):
+        vec, expect = self.AIMED[name]
+        z = _aimed_encoding(np.array(vec), SearchSpace.default(), self.EDGE_CLOUD.centroid())
+        assert [v.hex() for v in z] == expect
+
+    def test_camera_on_the_centroid_raises(self):
+        vec = np.tile([0.5, 0.5, 0.0, 0.5, 0.5], 2)
+        with pytest.raises(ValueError, match="coincides"):
+            _aimed_encoding(vec, SearchSpace.default(), np.array([0.0, 0.0, 0.05]))
 
 
 class TestCircularBaseline:
@@ -411,6 +526,17 @@ class TestRunExperiment:
             for tb in report.tracebacks.values():
                 assert "in no_circle" in tb
                 assert tb.rstrip().endswith("ValueError: no circle today")
+
+    def test_evaluation_error_fails_its_cell(self, monkeypatch):
+        for workers in DISPATCHES:
+            run_on(monkeypatch, workers)
+            fail_first_query(monkeypatch, SMALL_CFG.n_init)
+            report = tiny_experiment(kernels=("rbf",), n_realizations=1)
+            assert report.errors == {"rbf/r0": "ValueError: camera on a scene point"}
+            assert report.traces == {} and set(report.baselines) == {0}
+            tb = report.tracebacks["rbf/r0"]
+            assert "in run_bo" in tb and "in flaky" in tb
+            assert tb.rstrip().endswith("ValueError: camera on a scene point")
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
