@@ -223,12 +223,18 @@ def _check_integer(key: str, value):
     return value
 
 
+def _is_number(value) -> bool:
+    """True for a JSON number: an int or a float, never a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, float))
+
+
 def _build(cls, section: dict, **resolved):
-    """``cls`` from its config section, scalar fields checked.
+    """``cls`` from its config section, scalar and vector fields checked.
 
     A bool field takes only ``true`` or ``false`` and an int field only a
     JSON integer. A float field takes any JSON number and holds it as a
-    float, so ``1`` echoes as ``1.0``.
+    float, so ``1`` echoes as ``1.0``. A 3-vector field takes only a list of
+    exactly three JSON numbers.
     """
     hints = typing.get_type_hints(cls)
     kwargs = {**section, **resolved}
@@ -238,9 +244,12 @@ def _build(cls, section: dict, **resolved):
         elif hints[key] is int:
             _check_integer(key, value)
         elif hints[key] is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not _is_number(value):
                 raise ValueError(f"config key {key!r} must be a number, got {value!r}")
             kwargs[key] = float(value)
+        elif hints[key] == typing.Tuple[float, float, float]:
+            if not (isinstance(value, list) and len(value) == 3 and all(map(_is_number, value))):
+                raise ValueError(f"config key {key!r} must be a list of 3 numbers, got {value!r}")
     return cls(**kwargs)
 
 

@@ -22,6 +22,10 @@ __all__ = ["RewardParams", "reward", "noisy_reward"]
 # Cameras this close to a point make the ray direction meaningless.
 COINCIDENT_EPS = 1e-12
 
+# Points scored at a time: a block's (N, B) component arrays fit in a core's
+# L2 cache. Any size gives the same bits.
+_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class RewardParams:
@@ -40,50 +44,63 @@ class RewardParams:
 def reward(placement: Placement, cloud: PointCloud, params: RewardParams) -> float:
     """Mean pair quality over all points and unordered camera pairs.
 
-    Vectorized over the cloud on per-axis component arrays of shape (N, P)
-    for N cameras and P points. The work grows with camera pairs x points:
-    every pair tests every point for view and match, and only the matched
-    points reach the cross product. Raises ValueError if any camera
-    (numerically) coincides with a point.
+    Vectorized over the cloud in contiguous blocks of ``_BLOCK`` points, on
+    per-axis component arrays of shape (N, B) for N cameras and B points of
+    a block, so the arrays of one block stay in cache. The work grows with
+    camera pairs x points: every pair tests every point for view and match,
+    and only the matched points reach the cross product. Each pair's
+    clipped qualities are joined across blocks in point order before one
+    sum, so the result does not depend on the block size to the last bit.
+    Raises ValueError if any camera (numerically) coincides with a point.
     """
     px, py, pz = np.ascontiguousarray(cloud.points.T)
     cams = placement.positions()
     axes = placement.orientations()
     n = cams.shape[0]
 
-    # Rays p -> camera, one (N, P) array per axis.
-    dx = cams[:, 0:1] - px
-    dy = cams[:, 1:2] - py
-    dz = cams[:, 2:3] - pz
-    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
-    if np.any(dist < COINCIDENT_EPS):
-        raise ValueError("camera coincides with a scene point")
-
     cos_half_fov = math.cos(0.5 * params.fov)
     cos_match = math.cos(params.theta_match)
-    # Dot products sum x, then z, then y, the order numpy's contraction
-    # routine used when these results were first pinned: summed in another
-    # order, a cosine on a view or match threshold can round to its other side.
     ax, ay, az = axes[:, 0:1], axes[:, 1:2], axes[:, 2:3]
-    in_view = (dx * ax + dz * az + dy * ay) / dist >= cos_half_fov
+    # (i, j) -> the pair's clipped qualities, one array per block with a match.
+    matched = {}
+    for start in range(0, px.shape[0], _BLOCK):
+        block = slice(start, start + _BLOCK)
+        # Rays p -> camera, one (N, B) array per axis.
+        dx = cams[:, 0:1] - px[block]
+        dy = cams[:, 1:2] - py[block]
+        dz = cams[:, 2:3] - pz[block]
+        dist = np.sqrt(dx * dx + dy * dy + dz * dz)
+        if np.any(dist < COINCIDENT_EPS):
+            raise ValueError("camera coincides with a scene point")
+        # Dot products sum x, then z, then y, the order numpy's contraction
+        # routine used when these results were first pinned: summed in another
+        # order, a cosine on a view or match threshold can round to its other side.
+        in_view = (dx * ax + dz * az + dy * ay) / dist >= cos_half_fov
 
-    total = 0.0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            denom = dist[i] * dist[j]
-            cos_sep = (dx[i] * dx[j] + dz[i] * dz[j] + dy[i] * dy[j]) / denom
+        for i in range(n - 1):
+            # Camera i against every partner j > i at once, one row per j.
+            denom = dist[i] * dist[i + 1 :]
+            cos_sep = (dx[i] * dx[i + 1 :] + dz[i] * dz[i + 1 :] + dy[i] * dy[i + 1 :]) / denom
             # cos_match lies in (0, 1), so a cosine rounded past +-1 needs no clip.
-            mask = in_view[i] & in_view[j] & (cos_sep >= cos_match)
-            if not np.any(mask):
-                continue
-            xi, yi, zi = dx[i][mask], dy[i][mask], dz[i][mask]
-            xj, yj, zj = dx[j][mask], dy[j][mask], dz[j][mask]
-            cx = yi * zj - zi * yj
-            cy = zi * xj - xi * zj
-            cz = xi * yj - yi * xj
-            quality = np.sqrt(cx * cx + cy * cy + cz * cz) / denom[mask]
-            # A quality is never negative; rounding can lift it just past 1.
-            total += float(np.sum(np.minimum(quality, 1.0)))
+            mask = in_view[i] & in_view[i + 1 :] & (cos_sep >= cos_match)
+            for k in np.flatnonzero(mask.any(axis=1)):
+                j = i + 1 + k
+                m = mask[k]
+                xi, yi, zi = dx[i][m], dy[i][m], dz[i][m]
+                xj, yj, zj = dx[j][m], dy[j][m], dz[j][m]
+                cx = yi * zj - zi * yj
+                cy = zi * xj - xi * zj
+                cz = xi * yj - yi * xj
+                quality = np.sqrt(cx * cx + cy * cy + cz * cz) / denom[k][m]
+                # A quality is never negative; rounding can lift it just past 1.
+                matched.setdefault((i, j), []).append(np.minimum(quality, 1.0))
+
+    # Pairs in (i, j) order, each summed over its whole matched array: the
+    # same array, in the same order, whatever the block size.
+    total = 0.0
+    for pair in sorted(matched):
+        parts = matched[pair]
+        total += float(np.sum(parts[0] if len(parts) == 1 else np.concatenate(parts)))
 
     pairs = n * (n - 1) // 2
     return total / (px.shape[0] * pairs)

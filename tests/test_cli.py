@@ -326,9 +326,19 @@ class TestConfig:
             ("bo", "rng_seed", "2"),
             ("noise", "sigma", "0.1"),
             ("noise", "sigma", True),
+            ("space", "lower", ["-2.5", -2.5, 0.05]),
+            ("space", "lower", [-2.5, -2.5, True]),
+            ("space", "upper", [2.5, 2.5, None]),
+            ("space", "upper", [2.5, 2.5]),
+            ("noise", "direction", ["1", 0, 0]),
+            ("noise", "direction", 1.0),
+            ("noise", "direction", [1, 0, 0, 0]),
+            ("noise", "direction", [[1], 0, 0]),
         ],
         ids=["float", "string", "bool", "whole_float", "cameras_float", "seed_string",
-             "float_string", "float_bool"],
+             "float_string", "float_bool", "lower_string", "lower_bool", "upper_null",
+             "upper_short", "direction_string", "direction_scalar", "direction_long",
+             "direction_nested"],
     )
     def test_bad_section_scalar_exits_before_writing(self, tmp_path, tiny_config, capsys,
                                                      section, key, value):
@@ -340,6 +350,17 @@ class TestConfig:
         assert run("experiment", "--scenes", "single", "--config", str(cfg),
                    "--out", str(out)) == 1
         assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_vector_of_strings_and_bools_exits_before_writing(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "space": {"lower": ["-2.5", "-2.5", True]},
+            "noise": {"direction": ["1", 0, 0]},
+        }))
+        out = tmp_path / "out"
+        assert run("generate-scene", "--config", str(cfg), "--out", str(out)) == 1
+        assert "must be a list of 3 numbers" in capsys.readouterr().err
         assert not out.exists()
 
     def test_int_in_float_field_echoes_as_float(self, tmp_path):

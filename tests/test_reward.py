@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -24,6 +25,9 @@ from viewplan import (
     NoiseModel,
     SceneSpec,
 )
+
+# The module, which the package's ``reward`` function shadows.
+reward_module = importlib.import_module("viewplan.reward")
 
 ORIGIN = (0.0, 0.0, 0.0)
 
@@ -356,10 +360,19 @@ class TestNoisyReward:
             assert 0.0 <= v <= 1.0
 
 
-def pinned_cloud(layout, seed):
-    """Realization 0 of a small seeded scene, noise seeded with ``seed + 1``."""
-    clean = generate_scene(SceneSpec(layout, points_per_plant=200, rng_seed=seed))
+def pinned_cloud(layout, seed, points_per_plant=200):
+    """Realization 0 of a seeded scene, noise seeded with ``seed + 1``."""
+    clean = generate_scene(SceneSpec(layout, points_per_plant=points_per_plant, rng_seed=seed))
     return apply_noise(clean, sample_realization(NoiseModel(rng_seed=seed + 1), clean, 0))
+
+
+def pinned_placement(cloud, seed, which):
+    """The circular baseline's winner, or an integer-seeded uniform decode."""
+    if which == "baseline":
+        return circular_baseline(BoConfig(n_cameras=6, rng_seed=seed), cloud,
+                                 n_candidates=8).placement
+    draw = np.random.default_rng(which).uniform(0.0, 1.0, 30)
+    return decode(draw, SearchSpace.default())
 
 
 class TestRewardBits:
@@ -369,6 +382,10 @@ class TestRewardBits:
     last bit. A key is (layout, scene seed, placement): ``"baseline"`` is the
     circular baseline's winner, an integer seeds a uniform draw that is
     decoded to a placement. Every pinned value has matched pair terms.
+
+    ``DENSE`` pins a 45,000-point cloud that spans several blocks of the
+    block-wise reward. Its values were captured at commit 41114db, whose
+    reward scored the whole cloud at once, before blocks were introduced.
     """
 
     PINNED = {
@@ -384,11 +401,79 @@ class TestRewardBits:
                              ids=[f"{layout}-{which}" for layout, _, which in PINNED])
     def test_bits(self, layout, seed, which):
         cloud = pinned_cloud(layout, seed)
-        if which == "baseline":
-            placement = circular_baseline(BoConfig(n_cameras=6, rng_seed=seed), cloud,
-                                          n_candidates=8).placement
-        else:
-            draw = np.random.default_rng(which).uniform(0.0, 1.0, 30)
-            placement = decode(draw, SearchSpace.default())
-        value = reward(placement, cloud, RewardParams())
+        value = reward(pinned_placement(cloud, seed, which), cloud, RewardParams())
         assert value.hex() == self.PINNED[layout, seed, which]
+
+    # grid9 at 5,000 points per plant, scene seed 12.
+    DENSE = {
+        "baseline": "0x1.84698c8d1d518p-4",
+        21: "0x1.c1883b1e71401p-6",
+        55: "0x1.5ce057f4c42dcp-5",
+    }
+
+    @pytest.fixture(scope="class")
+    def dense_cloud(self):
+        return pinned_cloud("grid9", 12, points_per_plant=5000)
+
+    @pytest.mark.parametrize("which", list(DENSE))
+    def test_bits_across_blocks(self, dense_cloud, which):
+        assert len(dense_cloud) > 2 * reward_module._BLOCK
+        value = reward(pinned_placement(dense_cloud, 12, which), dense_cloud, RewardParams())
+        assert value.hex() == self.DENSE[which]
+
+
+def block_scene(seed):
+    """A seeded 150-point cloud and placements with matched pair terms.
+
+    The first placement's pair (0, 1) is aimed at the cloud's last point, so
+    it matches the last point of the last block whatever the block size.
+    """
+    rng = np.random.default_rng(seed)
+    positions, axes, points = random_instance(rng, 4, 150, aimed_fraction=1.0)
+    cam = CameraPose.looking_at(positions[0], points[-1])
+    placements = [Placement((cam, partner(cam, points[-1])) + as_placement(positions, axes).cameras)]
+    for n, position in zip((2, 3, 5), positions[1:]):
+        # partners of one camera, each aimed at a random point
+        base = CameraPose.looking_at(position, points[int(rng.integers(150))])
+        placements.append(Placement((base,) + tuple(
+            partner(base, points[int(rng.integers(150))], float(rng.uniform(0.1, 0.6)))
+            for _ in range(n - 1)
+        )))
+    return as_cloud(points), placements
+
+
+def matched_points(ci, cj, cloud):
+    """Indices of the points that pair (ci, cj) scores, one point at a time."""
+    pair = Placement((ci, cj))
+    return [k for k, p in enumerate(cloud.points)
+            if reward(pair, PointCloud(p[None, :]), RewardParams()) > 0.0]
+
+
+class TestBlockInvariance:
+    """The block size never changes a bit of the reward."""
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("block", [1, 7, 64, "size-1", "size"])
+    def test_block_size_does_not_change_the_value(self, monkeypatch, seed, block):
+        cloud, placements = block_scene(seed)
+        size = len(cloud)
+        block = {"size-1": size - 1, "size": size}.get(block, block)
+        params = RewardParams()
+        want = [reward(placement, cloud, params) for placement in placements]
+        assert all(value > 0.0 for value in want)
+        # pair (0, 1) of the first placement matches points of several blocks
+        matched = matched_points(*placements[0].cameras[:2], cloud)
+        assert matched[-1] == size - 1
+        if block < size:
+            assert len({k // block for k in matched}) > 1
+        monkeypatch.setattr(reward_module, "_BLOCK", block)
+        assert [reward(placement, cloud, params) for placement in placements] == want
+
+    @pytest.mark.parametrize("block", [7, 64])
+    def test_camera_on_the_last_point_raises(self, monkeypatch, block):
+        cloud, placements = block_scene(3)
+        monkeypatch.setattr(reward_module, "_BLOCK", block)
+        assert len(cloud) > block
+        on_last = CameraPose(Point3(*cloud.points[-1]), Point3(0.0, 0.0, 1.0))
+        with pytest.raises(ValueError):
+            reward(Placement((on_last,) + placements[0].cameras[1:]), cloud, RewardParams())
