@@ -47,13 +47,20 @@ def ei_values(state: EiState, z) -> np.ndarray:
 def _improvement(incumbent: float, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
     sigma = np.sqrt(var)
     delta = mean - incumbent
-    out = np.maximum(delta, 0.0)
     live = sigma > SIGMA_FLOOR
-    if np.any(live):
-        u = delta[live] / sigma[live]
-        phi = _INV_SQRT_2PI * np.exp(-0.5 * u * u)
-        out[live] = np.maximum(delta[live] * ndtr(u) + sigma[live] * phi, 0.0)
+    if live.all():
+        return _closed_form(delta, sigma)
+    out = np.maximum(delta, 0.0)
+    if live.any():
+        out[live] = _closed_form(delta[live], sigma[live])
     return out
+
+
+def _closed_form(delta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """EI elementwise at improvements ``delta`` and positive deviations ``sigma``."""
+    u = delta / sigma
+    phi = _INV_SQRT_2PI * np.exp(-0.5 * u * u)
+    return np.maximum(delta * ndtr(u) + sigma * phi, 0.0)
 
 
 def ei_value(state: EiState, z) -> float:
@@ -79,8 +86,11 @@ def maximize_ei(state: EiState, budget: int = 2048, rng_seed: int = 0) -> np.nda
     training input verbatim, then runs coordinate pattern search from the top
     ``_N_REFINE`` candidates, halving a start's step from ``_STEP_INIT``
     until it falls below ``_STEP_MIN`` or ``_MAX_ROUNDS`` rounds have run.
-    Deterministic given the seed; the result never leaves [0, 1]^d and its
-    EI is at least the best raw candidate's.
+    A round scores every active start's 2d probes in one
+    :meth:`GpModel.coordinate_probes` call; while every start is active it
+    works on the start arrays in place, and a start that improves takes its
+    best probe's row by index. Deterministic given the seed; the result
+    never leaves [0, 1]^d and its EI is at least the best raw candidate's.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -95,19 +105,28 @@ def maximize_ei(state: EiState, budget: int = 2048, rng_seed: int = 0) -> np.nda
     xs = cand[order].copy()
     fs = vals[order].copy()
     steps = np.full(xs.shape[0], _STEP_INIT)
+    width = 2 * dim
 
     for _ in range(_MAX_ROUNDS):
-        active = np.flatnonzero(steps >= _STEP_MIN)
-        if active.size == 0:
-            break
-        n_active = active.size
-        probes, mean, var = model.coordinate_probes(xs[active], steps[active])
-        pvals = _improvement(state.incumbent, mean, var).reshape(n_active, 2 * dim)
-        k = np.argmax(pvals, axis=1)
-        top = pvals[np.arange(n_active), k]
-        better = top > fs[active]
-        xs[active[better]] = probes.reshape(n_active, 2 * dim, dim)[better, k[better]]
-        fs[active[better]] = top[better]
-        steps[active[~better]] *= 0.5
+        live = steps >= _STEP_MIN
+        if live.all():
+            active = None
+            x, f, step = xs, fs, steps
+        else:
+            active = np.flatnonzero(live)
+            if active.size == 0:
+                break
+            x, f, step = xs[active], fs[active], steps[active]
+        probes, mean, var = model.coordinate_probes(x, step)
+        pvals = _improvement(state.incumbent, mean, var)
+        # Flat index of each start's best probe: its row in probes.
+        best_probe = np.arange(0, pvals.size, width) + np.argmax(pvals.reshape(-1, width), axis=1)
+        top = pvals[best_probe]
+        better = top > f
+        x[better] = probes[best_probe[better]]
+        f[better] = top[better]
+        step[~better] *= 0.5
+        if active is not None:
+            xs[active], fs[active], steps[active] = x, f, step
     best = int(np.argmax(fs))
     return xs[best].copy()

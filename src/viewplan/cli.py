@@ -232,9 +232,9 @@ def _build(cls, section: dict, **resolved):
     """``cls`` from its config section, scalar and vector fields checked.
 
     A bool field takes only ``true`` or ``false`` and an int field only a
-    JSON integer. A float field takes any JSON number and holds it as a
-    float, so ``1`` echoes as ``1.0``. A 3-vector field takes only a list of
-    exactly three JSON numbers.
+    JSON integer. A float field takes any JSON number that fits a float and
+    holds it as a float, so ``1`` echoes as ``1.0``. A 3-vector field takes
+    only a list of exactly three such numbers.
     """
     hints = typing.get_type_hints(cls)
     kwargs = {**section, **resolved}
@@ -246,11 +246,20 @@ def _build(cls, section: dict, **resolved):
         elif hints[key] is float:
             if not _is_number(value):
                 raise ValueError(f"config key {key!r} must be a number, got {value!r}")
-            kwargs[key] = float(value)
+            kwargs[key] = _to_float(key, value)
         elif hints[key] == typing.Tuple[float, float, float]:
             if not (isinstance(value, list) and len(value) == 3 and all(map(_is_number, value))):
                 raise ValueError(f"config key {key!r} must be a list of 3 numbers, got {value!r}")
+            kwargs[key] = [_to_float(key, v) for v in value]
     return cls(**kwargs)
+
+
+def _to_float(key: str, value) -> float:
+    """A JSON number as a float; raises ValueError naming ``key`` if it is too large for one."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"config key {key!r} holds an integer too large for a float") from None
 
 
 def _typed(cfg: dict, layout: str | None = None):

@@ -11,6 +11,7 @@ factorizes through LAPACK directly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -34,6 +35,8 @@ KERNEL_FAMILIES = ("rbf", "ard_rbf", "matern15", "matern25")
 _SQRT3 = math.sqrt(3.0)
 _SQRT5 = math.sqrt(5.0)
 _JITTERS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
+# A coordinate probe moves its center up, then down, by the step.
+_SIGNS = np.array([1.0, -1.0])
 
 # Bounds for likelihood fitting, assuming unit-cube inputs and
 # standardized outputs.
@@ -90,11 +93,6 @@ class KernelSpec:
         return ls
 
 
-def _scaled_sqdist(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    ls = spec.lengthscale_vector(a.shape[1])
-    return cdist(a / ls, b / ls, metric="sqeuclidean")
-
-
 def _kernel_of_sqdist(family: str, output_variance: float, d2: np.ndarray) -> np.ndarray:
     """Covariances at scaled squared distances, overwriting ``d2``.
 
@@ -124,7 +122,9 @@ def kernel_matrix(spec: KernelSpec, a, b=None) -> np.ndarray:
     """Cross-covariance matrix between two sets of row-vector inputs."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = a if b is None else np.atleast_2d(np.asarray(b, dtype=float))
-    return _kernel_of_sqdist(spec.family, spec.output_variance, _scaled_sqdist(spec, a, b))
+    ls = spec.lengthscale_vector(a.shape[1])
+    d2 = cdist(a / ls, b / ls, metric="sqeuclidean")
+    return _kernel_of_sqdist(spec.family, spec.output_variance, d2)
 
 
 def _standardization(y: np.ndarray) -> tuple[float, float]:
@@ -184,7 +184,21 @@ class GpModel:
 
     # -- factorization ---------------------------------------------------
 
+    def _scale_inputs(self) -> None:
+        """Cache what posterior queries need of the training inputs.
+
+        The lengthscale vector, the scaled inputs ``z / ls`` and
+        ``2 z^T / ls`` laid out (dim, 1, n) for the probe broadcast of
+        :meth:`coordinate_probes`. Fixed between factorizations.
+        """
+        ls = self.kernel.lengthscale_vector(self.dim)
+        self._ls = ls
+        self._zs = self._z / ls
+        two_t = np.ascontiguousarray(self._z.T) * (2.0 / ls)[:, None]
+        self._two_zt = two_t[:, None, :]
+
     def _refactor(self) -> None:
+        self._scale_inputs()
         k = kernel_matrix(self.kernel, self._z)
         k[np.diag_indices_from(k)] += self.noise_variance
         eye = np.eye(k.shape[0])
@@ -217,6 +231,7 @@ class GpModel:
         inv[n, n] = 1.0 / pivot
         self._chol, self._chol_inv = chol, inv
         self._alpha = cho_solve((self._chol, True), self._y_working)
+        self._scale_inputs()
         return True
 
     @property
@@ -260,7 +275,10 @@ class GpModel:
         zq = np.atleast_2d(np.asarray(z, dtype=float))
         if zq.shape[1] != self.dim:
             raise ValueError("query dimension does not match training inputs")
-        d2 = _scaled_sqdist(self.kernel, zq, self._z) if _sqdist is None else _sqdist
+        if _sqdist is None:
+            d2 = cdist(zq / self._ls, self._zs, metric="sqeuclidean")
+        else:
+            d2 = _sqdist
         ks = _kernel_of_sqdist(self.kernel.family, self.kernel.output_variance, d2)
         mean_w = ks @ self._alpha
         v = ks @ self._chol_inv.T
@@ -279,30 +297,33 @@ class GpModel:
         probes stacked as rows in that order. The values equal
         ``posterior_batch(probes)`` up to rounding, but each probe's
         distances to the training inputs are updated from its center's in
-        O(n) rather than recomputed in O(n dim).
+        O(n) rather than recomputed in O(n dim). What depends only on the
+        training inputs is cached per factorization (:meth:`_scale_inputs`),
+        so a call scales the centers once, writes the moved coordinates into
+        copies of the centers at cached flat positions, and fills the
+        distance grid with three broadcasts.
         """
         x = np.atleast_2d(np.asarray(centers, dtype=float))
         if x.shape[1] != self.dim:
             raise ValueError("center dimension does not match training inputs")
         n_c, dim = x.shape
         s = np.asarray(steps, dtype=float).reshape(n_c, 1, 1)
-        moved = np.clip(x[:, :, None] + s * np.array([1.0, -1.0]), 0.0, 1.0)  # (n_c, dim, 2)
-        probes = np.repeat(x[:, None, None, :], 2 * dim, axis=1).reshape(n_c, dim, 2, dim)
-        diag = np.arange(dim)
-        probes[:, diag, :, diag] = moved.transpose(1, 0, 2)
+        moved = x[:, :, None] + s * _SIGNS  # (n_c, dim, 2)
+        np.maximum(moved, 0.0, out=moved)
+        np.minimum(moved, 1.0, out=moved)
+        rows = np.repeat(x, 2 * dim, axis=0)
+        rows.put(_probe_positions(n_c, dim), moved)
 
         # Only coordinate j changes, so a probe's squared distance is its
         # center's plus (w - u)(w + u - 2 t) in scaled coordinates.
-        ls = self.kernel.lengthscale_vector(dim)
-        u = (x / ls)[:, :, None]
-        w = moved / ls[:, None]
-        two_t = np.ascontiguousarray(self._z.T) * (2.0 / ls)[:, None]
+        xs = x / self._ls
+        u = xs[:, :, None]
+        w = moved / self._ls[:, None]
         d2 = np.empty((n_c * dim * 2, self.n_train))
         grid = d2.reshape(n_c, dim, 2, self.n_train)
-        np.subtract((w + u)[..., None], two_t[None, :, None, :], out=grid)
+        np.subtract((w + u)[..., None], self._two_zt, out=grid)
         grid *= (w - u)[..., None]
-        grid += _scaled_sqdist(self.kernel, x, self._z)[:, None, None, :]
-        rows = probes.reshape(-1, dim)
+        grid += cdist(xs, self._zs, metric="sqeuclidean")[:, None, None, :]
         mean, var = self.posterior_batch(rows, _sqdist=d2)
         return rows, mean, var
 
@@ -404,6 +425,18 @@ class GpModel:
             ls if n_ls > 1 else float(ls[0]),
         )
         return cls(spec, float(np.exp(best_theta[n_ls + 1])), z, y)
+
+
+@functools.lru_cache(maxsize=64)
+def _probe_positions(n_centers: int, dim: int) -> np.ndarray:
+    """Flat indices of the moved coordinates in :meth:`GpModel.coordinate_probes`' rows.
+
+    Row r = 2 (c dim + j) + k moves coordinate j of center c.
+    """
+    r = np.arange(n_centers * dim * 2)
+    positions = r * dim + (r // 2) % dim
+    positions.flags.writeable = False
+    return positions
 
 
 def _fit_starts(n_ls: int, seed, lo: np.ndarray, hi: np.ndarray):

@@ -363,6 +363,31 @@ class TestConfig:
         assert "must be a list of 3 numbers" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, section, key, index",
+        [
+            ("plan", "noise", "sigma", None),
+            ("plan", "space", "lower", 0),
+            ("generate-scene", "scene", "plant_spacing", None),
+            ("generate-scene", "noise", "direction", 2),
+        ],
+        ids=["plan_sigma", "plan_lower", "scene_spacing", "scene_direction"],
+    )
+    def test_integer_too_large_for_a_float_exits_before_writing(self, tmp_path, capsys,
+                                                                command, section, key, index):
+        huge = 10**400
+        value = huge if index is None else [1.0, 1.0, 1.0]
+        if index is not None:
+            value[index] = huge
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        assert run(*argv, *(["--smoke"] if command == "plan" else [])) == 1
+        err = capsys.readouterr().err
+        assert repr(key) in err and "too large for a float" in err
+        assert not out.exists()
+
     def test_int_in_float_field_echoes_as_float(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
