@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.special import ndtr
-from scipy.stats import qmc
 
 from .gp import GpModel
 
@@ -24,6 +25,13 @@ _N_REFINE = 5
 _STEP_INIT = 0.05
 _STEP_MIN = 1e-4
 _MAX_ROUNDS = 200
+
+# Scrambled Sobol' candidates: the Joe-Kuo direction numbers that
+# scipy.stats.qmc.Sobol reads, loaded once so forked workers share them.
+_SOBOL_BITS = 30
+with np.load(Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz") as _table:
+    _SOBOL_POLY = _table["poly"]
+    _SOBOL_VINIT = _table["vinit"]
 
 
 @dataclass(frozen=True)
@@ -71,12 +79,63 @@ def ei_value(state: EiState, z) -> float:
     return float(ei_values(state, np.asarray(z, dtype=float).reshape(1, -1))[0])
 
 
+@functools.lru_cache(maxsize=None)
+def _direction_numbers(dim: int) -> np.ndarray:
+    """Unscrambled ``(dim, 30)`` direction numbers, column j worth 2**(29 - j).
+
+    The recurrence of Bratley & Fox (1988) over each dimension's primitive
+    polynomial, run for all dimensions at once; the first dimension is all ones.
+    """
+    poly = _SOBOL_POLY[1:dim]
+    deg = np.frexp(poly)[1] - 1
+    width = _SOBOL_VINIT.shape[1]
+    v = np.zeros((dim, _SOBOL_BITS), dtype=np.int64)
+    v[0] = 1
+    tail = v[1:]
+    tail[:, :width] = np.where(np.arange(width) < deg[:, None], _SOBOL_VINIT[1:dim], 0)
+    # taps[:, k]: bit deg - 1 - k of the polynomial is set, so that
+    # v[j - k - 1] << (k + 1) enters v[j].
+    taps = (poly[:, None] >> np.maximum(deg[:, None] - 1 - np.arange(width), 0)) & 1 == 1
+    taps &= np.arange(width) < deg[:, None]
+    rows = np.arange(dim - 1)
+    for j in range(1, _SOBOL_BITS):
+        new = tail[rows, np.maximum(j - deg, 0)]
+        for k in range(min(j, width)):
+            new ^= np.where(taps[:, k], tail[:, j - k - 1] << (k + 1), 0)
+        tail[:, j] = np.where(j >= deg, new, tail[:, j])
+    v <<= np.arange(_SOBOL_BITS - 1, -1, -1)
+    v = v.astype(np.uint32)
+    v.flags.writeable = False
+    return v
+
+
 def _sobol_candidates(dim: int, budget: int, rng_seed: int) -> np.ndarray:
-    sob = qmc.Sobol(dim, scramble=True, seed=rng_seed)
-    with warnings.catch_warnings():
-        # budgets that are not powers of two trade balance for flexibility
-        warnings.simplefilter("ignore", UserWarning)
-        return sob.random(budget)
+    """The first ``budget`` points of a scrambled Sobol' sequence in [0, 1)^dim.
+
+    Byte-identical to ``scipy.stats.qmc.Sobol(dim, scramble=True,
+    seed=rng_seed).random(budget)``: a random digital shift and random lower
+    triangular (LMS) matrices drawn in scipy's order, applied to the Joe-Kuo
+    direction numbers, points taken in Gray-code order (Owen 1998).
+    """
+    if dim > _SOBOL_POLY.size:
+        raise ValueError(f"Maximum supported dimensionality is {_SOBOL_POLY.size}.")
+    rng = np.random.default_rng(rng_seed)
+    high_first = np.uint32(1) << np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+    shift = rng.integers(0, 2, (dim, _SOBOL_BITS), dtype=np.uint32) @ high_first[::-1]
+    lms = np.tril(rng.integers(0, 2, (dim, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    lms[:, np.arange(_SOBOL_BITS), np.arange(_SOBOL_BITS)] = 1
+    # Scrambled bit p (from the top) of direction number j: parity of row p & v_j.
+    masked = (lms @ high_first)[:, None, :] & _direction_numbers(dim)[:, :, None]
+    for s in (16, 8, 4, 2, 1):
+        masked ^= masked >> s
+    scrambled = (masked & 1) @ high_first
+    # table[g] = XOR of the direction numbers at the set bits of g, by doubling.
+    levels = (budget - 1).bit_length()
+    table = np.zeros((1 << levels, dim), dtype=np.uint32)
+    for k in range(levels):
+        table[1 << k : 2 << k] = table[: 1 << k] ^ scrambled[:, k]
+    i = np.arange(budget)
+    return (table[i ^ (i >> 1)] ^ shift) * 2.0**-_SOBOL_BITS
 
 
 def maximize_ei(state: EiState, budget: int = 2048, rng_seed: int = 0) -> np.ndarray:

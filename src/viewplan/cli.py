@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import typing
 from pathlib import Path
@@ -232,8 +233,8 @@ def _build(cls, section: dict, **resolved):
     """``cls`` from its config section, scalar and vector fields checked.
 
     A bool field takes only ``true`` or ``false`` and an int field only a
-    JSON integer. A float field takes any JSON number that fits a float and
-    holds it as a float, so ``1`` echoes as ``1.0``. A 3-vector field takes
+    JSON integer. A float field takes any JSON number that is a finite float
+    and holds it as a float, so ``1`` echoes as ``1.0``. A 3-vector field takes
     only a list of exactly three such numbers.
     """
     hints = typing.get_type_hints(cls)
@@ -255,11 +256,17 @@ def _build(cls, section: dict, **resolved):
 
 
 def _to_float(key: str, value) -> float:
-    """A JSON number as a float; raises ValueError naming ``key`` if it is too large for one."""
+    """A JSON number as a finite float; raises ValueError naming ``key`` otherwise.
+
+    Python's json reads ``NaN``, ``Infinity`` and ``1e999`` as non-finite floats.
+    """
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise ValueError(f"config key {key!r} holds an integer too large for a float") from None
+    if not math.isfinite(number):
+        raise ValueError(f"config key {key!r} must be finite, got {value!r}")
+    return number
 
 
 def _typed(cfg: dict, layout: str | None = None):

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +11,9 @@ from scipy.stats import qmc
 
 from oracles import ei_closed_form, ei_monte_carlo
 
+import viewplan
 from viewplan import EiState, GpModel, KernelSpec, ei_value, ei_values, maximize_ei
-from viewplan.acquisition import SIGMA_FLOOR
+from viewplan.acquisition import SIGMA_FLOOR, _sobol_candidates
 
 
 def far_field_state(sigma=1.0, incumbent=0.0, train_y=0.0):
@@ -286,3 +291,173 @@ class TestMaximizeEiBits:
         _, var = model.posterior_batch(model.inputs)
         assert np.sqrt(var[0]) <= SIGMA_FLOOR
 
+
+
+class TestEiBits:
+    """Exact ``float.hex()`` of EI values and coordinate-probe posteriors.
+
+    ``TestMaximizeEiBits`` pins returned points, which are sums of pattern
+    search steps and round off most changes in the last bit of EI; these pin
+    the values the search compares. Each state scores six query rows (for
+    ``"floor"`` the first is its training input, where the deviation is at
+    the floor, so the batch mixes both branches of the improvement) and the
+    probes around two centers. Every value was captured at commit b2d987f.
+    """
+
+    PINNED = {
+        ("rbf", 4): {
+            "ei": [
+                "0x1.63be176be13c0p-35", "0x1.29b4ee4bd6e30p-12", "0x1.5f8be43aeddc8p-13",
+                "0x1.a2bf00750b7b8p-10", "0x1.850cb83bd52b0p-13", "0x1.0b9de6599e110p-14",
+            ],
+            "mean": [
+                "0x1.4fa28e43e1eb6p+0", "0x1.430c8056798dep+0", "0x1.5b5c6e64507f2p+0",
+                "0x1.39df69f83096fp+0", "0x1.48c0d602bacfap+0", "0x1.4b9e5b3d7889cp+0",
+                "0x1.4c8eab9024807p+0", "0x1.47274d3e5860dp+0", "0x1.e3ca040d2eabap-1",
+                "0x1.e2f1e382fd944p-1", "0x1.e2a5c87e9b6b2p-1", "0x1.e444c5fcf6c3fp-1",
+                "0x1.e298c3e444e2cp-1", "0x1.e44756639cb97p-1", "0x1.e10689d27a2fap-1",
+                "0x1.e5bfee3e8caaep-1",
+            ],
+            "var": [
+                "0x1.ea1fb936d6f2dp-4", "0x1.1a8dfdd16ee2bp-3", "0x1.f6305e5357490p-4",
+                "0x1.1548ce2de312bp-3", "0x1.e454a34e9f52bp-4", "0x1.1d2c9354bb1a8p-3",
+                "0x1.13796445c0fa2p-3", "0x1.fbbd3ce9fca12p-4", "0x1.6919fc6a352d9p-4",
+                "0x1.512bb124d0255p-4", "0x1.5eda3dde9ca89p-4", "0x1.5b881c9651a6cp-4",
+                "0x1.63634d223fceep-4", "0x1.571630f84405cp-4", "0x1.49553964543efp-4",
+                "0x1.7085e67706015p-4",
+            ],
+        },
+        ("ard_rbf", 4): {
+            "ei": [
+                "0x1.27ed059128f00p-247", "0x1.7aec489cee988p-13", "0x1.569d9a83b58c0p-64",
+                "0x1.e254227e71500p-19", "0x1.67bba62535780p-37", "0x1.5a612bccc4e10p-23",
+            ],
+            "mean": [
+                "0x1.62929ff2d02c6p+0", "0x1.2e9411a8f3bbcp+0", "0x1.5f52dc804a8c2p+0",
+                "0x1.37979411afc7dp+0", "0x1.48f6b1993ea1ep+0", "0x1.4caa5ceb14a42p+0",
+                "0x1.4b1e6e42092d8p+0", "0x1.4abc7f0a639acp+0", "0x1.8d0922088e597p-1",
+                "0x1.93bb412298d8bp-1", "0x1.8fd84e6d5de86p-1", "0x1.90c9df350174ep-1",
+                "0x1.8ede762aee516p-1", "0x1.91afaabebb4c7p-1", "0x1.8fbb32e9d8f19p-1",
+                "0x1.90d065924a1abp-1",
+            ],
+            "var": [
+                "0x1.04a8da7c375c2p-5", "0x1.2fab17335b95ap-5", "0x1.15e8e369d01acp-5",
+                "0x1.216ac435b0fcep-5", "0x1.d2dce362a793bp-6", "0x1.4c02dfd4f7ffdp-5",
+                "0x1.21421dba002f4p-5", "0x1.1210222386494p-5", "0x1.263f24ff45105p-5",
+                "0x1.d295428f0d011p-6", "0x1.01a8bed65da0fp-5", "0x1.0cad802f68d2ep-5",
+                "0x1.0ba0f099d4bc8p-5", "0x1.02a427ee816c6p-5", "0x1.ff8cd33b9c552p-6",
+                "0x1.0e575ee6d08b1p-5",
+            ],
+        },
+        ("matern15", 4): {
+            "ei": [
+                "0x1.fd446e6737080p-20", "0x1.120f0276c7d64p-9", "0x1.419fb781fe6a8p-9",
+                "0x1.04a11ab10086cp-8", "0x1.bb797014d48f8p-9", "0x1.0eda936acb7e0p-10",
+            ],
+            "mean": [
+                "0x1.3293888c91798p+0", "0x1.2639fd722ed81p+0", "0x1.3933180ca166fp+0",
+                "0x1.21076f0376dfbp+0", "0x1.2c280693401fep+0", "0x1.2d88ca181b0f5p+0",
+                "0x1.2da4ab1ee4b5cp+0", "0x1.2b6f9c0da1c3fp+0", "0x1.dd8f4daf684c6p-1",
+                "0x1.dba16a510f251p-1", "0x1.dd336e7799c5ap-1", "0x1.dc1fbcc06222dp-1",
+                "0x1.dc811550333fep-1", "0x1.dcc9f8e3c4f4ep-1", "0x1.db4820a45db90p-1",
+                "0x1.ddf229d3d3334p-1",
+            ],
+            "var": [
+                "0x1.4257a354ad26dp-3", "0x1.5a3eacd73e5a5p-3", "0x1.46c65383be8d2p-3",
+                "0x1.5645baf18f8ccp-3", "0x1.41b2a660cf5f3p-3", "0x1.5aca468d0be69p-3",
+                "0x1.560e5e1a2eb58p-3", "0x1.4857569e3a916p-3", "0x1.0757d8361a35cp-3",
+                "0x1.f9107aa963a60p-4", "0x1.0259232ef25c7p-3", "0x1.01b462ba26a28p-3",
+                "0x1.04ea2964db420p-3", "0x1.fe39a15390c0bp-4", "0x1.f0805c56af1cep-4",
+                "0x1.0b2cefd7a0f22p-3",
+            ],
+        },
+        ("matern25", 4): {
+            "ei": [
+                "0x1.f53fb139756a0p-24", "0x1.66c247fd5afc0p-10", "0x1.4f3707b98d260p-10",
+                "0x1.9f0b2cf349ca0p-9", "0x1.19d1c7841ebd0p-9", "0x1.17433d90c3f10p-11",
+            ],
+            "mean": [
+                "0x1.3b01becfcfdc2p+0", "0x1.2e013dbc46552p+0", "0x1.42f9aa556297dp+0",
+                "0x1.27c8078649d4ep+0", "0x1.34513f067c876p+0", "0x1.35d3be9f9d38fp+0",
+                "0x1.360d6fef5a85fp+0", "0x1.336912de81a33p+0", "0x1.de34a7d2bc9acp-1",
+                "0x1.dc81e36fd7602p-1", "0x1.ddb9c732e1715p-1", "0x1.dd21b640c40acp-1",
+                "0x1.dd253f9b10833p-1", "0x1.ddae6e1a7058bp-1", "0x1.dbdfe0a9ec520p-1",
+                "0x1.dee117f184571p-1",
+            ],
+            "var": [
+                "0x1.2f27960fe3996p-3", "0x1.4bc8b87675243p-3", "0x1.34352142e3949p-3",
+                "0x1.4741b32904bbdp-3", "0x1.2e4e04d3b9375p-3", "0x1.4c6a008f747d3p-3",
+                "0x1.466b09c632145p-3", "0x1.368ed963ee9a8p-3", "0x1.d444a7a32c5d0p-4",
+                "0x1.bcb69e6453e4ep-4", "0x1.c99fc69660527p-4", "0x1.c7ab6a10cb693p-4",
+                "0x1.cefbf2d7cde0bp-4", "0x1.c2485b3d7d4d9p-4", "0x1.b3a3c6ed05d95p-4",
+                "0x1.dc899f0152dedp-4",
+            ],
+        },
+        "floor": {
+            "ei": [
+                "0x1.9999999999998p-4", "0x1.033bcb5f30c83p-2", "0x1.a1672f380cb7ep-3",
+                "0x1.9f938a4b6b8dbp-3", "0x1.d3cb32d94adddp-3", "0x1.b09d82f3aa7a0p-3",
+            ],
+            "mean": [
+                "0x1.db0b06e3c262ap-5", "0x1.c8857bffa6c4cp-4", "0x1.4ec2834a328bep-4",
+                "0x1.43ea328c9c6d9p-4", "0x1.355cb0c6a20b6p-4", "0x1.5e81df8e6932ep-4",
+                "0x1.2688d9f1d99ecp-7", "0x1.5d92a882b6ef5p-7", "0x1.47ac467246c41p-7",
+                "0x1.3a383f3eaece1p-7", "0x1.2800ef46cfc57p-7", "0x1.5bd68365d066dp-7",
+            ],
+            "var": [
+                "0x1.fb37af1bb81edp-1", "0x1.ee552c9c843fbp-1", "0x1.f6800d79e5e63p-1",
+                "0x1.f71b128ed5d1bp-1", "0x1.f7e312280ff62p-1", "0x1.f595de1d08f15p-1",
+                "0x1.ffe29590875a0p-1", "0x1.ffd69041c10c6p-1", "0x1.ffdb97b9bb164p-1",
+                "0x1.ffde855675a5dp-1", "0x1.ffe24a41bee05p-1", "0x1.ffd6f949e7fbap-1",
+            ],
+        },
+    }
+
+    @pytest.mark.parametrize(
+        "key", list(PINNED), ids=lambda key: key if isinstance(key, str) else f"{key[0]}-{key[1]}"
+    )
+    def test_bits(self, key):
+        state = floor_state() if key == "floor" else pinned_state(*key)
+        model = state.model
+        rng = np.random.default_rng(11)
+        if key == "floor":
+            batch = np.vstack([model.inputs[:1], rng.uniform(0, 1, (5, model.dim))])
+        else:
+            batch = rng.uniform(0, 1, (6, model.dim))
+        _, mean, var = model.coordinate_probes(rng.uniform(0, 1, (2, model.dim)), [0.05, 0.0125])
+        got = {
+            "ei": ei_values(state, batch),
+            "mean": mean,
+            "var": var,
+        }
+        for name, values in got.items():
+            assert [v.hex() for v in values.tolist()] == self.PINNED[key][name], name
+
+
+class TestSobolCandidates:
+    """The candidate set equals scipy's scrambled Sobol' sequence byte for byte."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 20, 30, 60])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    def test_matches_scipy(self, dim, seed):
+        for budget in (1, 2, 3, 100, 2048, 2049):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                expected = qmc.Sobol(dim, scramble=True, seed=seed).random(budget)
+            got = _sobol_candidates(dim, budget, seed)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes(), budget
+
+    def test_dimension_limit(self):
+        _sobol_candidates(21201, 1, 0)
+        with pytest.raises(ValueError, match="21201"):
+            _sobol_candidates(21202, 1, 0)
+
+
+@pytest.mark.parametrize("module", ["viewplan", "viewplan.cli"])
+def test_import_leaves_out_scipy_stats(module):
+    env = {**os.environ, "PYTHONPATH": str(Path(viewplan.__file__).parents[1])}
+    code = f"import sys, {module}; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "False"

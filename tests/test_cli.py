@@ -388,6 +388,24 @@ class TestConfig:
         assert repr(key) in err and "too large for a float" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"noise": {"sigma": 1e999}}', "sigma"),
+            ('{"space": {"lower": [-2.5, NaN, 0.0]}}', "lower"),
+            ('{"reward": {"fov": Infinity}}', "fov"),
+        ],
+        ids=["sigma_1e999", "lower_nan", "fov_infinity"],
+    )
+    def test_non_finite_float_exits_before_writing(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert run("plan", "--smoke", "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert repr(key) in err and "must be finite" in err
+        assert not out.exists()
+
     def test_int_in_float_field_echoes_as_float(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
