@@ -2,7 +2,10 @@
 
 Commands: generate-scene, plan, baseline, experiment. Exit codes: 0 success,
 1 usage or configuration problem, 2 file I/O problem, 3 numerical failure.
-Outputs always embed the fully resolved configuration, defaults included.
+Outputs always embed the fully resolved configuration, defaults included,
+except that an experiment's echo leaves the per-layout camera and point
+counts as configured: fed back with the same --scenes, it repeats the whole
+run.
 """
 
 from __future__ import annotations
@@ -450,6 +453,10 @@ def cmd_experiment(args) -> int:
             "tracebacks": dict(sorted(report.tracebacks.items())),
             "config": _echo(cfg, spec, noise, bo),
         }
+        # Each scene resolves these from its own layout; left as configured,
+        # any scene's echo repeats every scene of the run.
+        summary["config"]["scene"]["points_per_plant"] = cfg["scene"]["points_per_plant"]
+        summary["config"]["bo"]["n_cameras"] = cfg["bo"]["n_cameras"]
         vio.write_json(out / f"{label}_summary.json", summary)
         done = len(report.traces) + len(report.baselines)
         if done > 0:

@@ -118,6 +118,22 @@ def _kernel_of_sqdist(family: str, output_variance: float, d2: np.ndarray) -> np
     return d
 
 
+def _slope_factors(family: str, output_variance: float, d2: np.ndarray, k: np.ndarray) -> tuple:
+    """Factors of g = -2 dk/d(r^2) at scaled squared distances ``d2``, ``k`` the covariances there.
+
+    The derivative of the covariance in a log lengthscale is g times that
+    lengthscale's share of r^2, whatever the family. Callers multiply the
+    factors onto the share one at a time, scalar first, which keeps the
+    rounding of every fitted hyperparameter pinned in the tests.
+    """
+    if family in ("rbf", "ard_rbf"):
+        return (k,)
+    d = np.sqrt(d2)
+    if family == "matern15":
+        return output_variance * 3.0, np.exp(-_SQRT3 * d)
+    return output_variance * (5.0 / 3.0), 1.0 + _SQRT5 * d, np.exp(-_SQRT5 * d)
+
+
 def kernel_matrix(spec: KernelSpec, a, b=None) -> np.ndarray:
     """Cross-covariance matrix between two sets of row-vector inputs."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -327,16 +343,6 @@ class GpModel:
         mean, var = self.posterior_batch(rows, _sqdist=d2)
         return rows, mean, var
 
-    def log_marginal_likelihood(self) -> float:
-        """Exact data log likelihood on the working (standardized) scale."""
-        yw = self._y_working
-        t = yw.shape[0]
-        return float(
-            -0.5 * float(yw @ self._alpha)
-            - float(np.sum(np.log(np.diag(self._chol))))
-            - 0.5 * t * math.log(2.0 * math.pi)
-        )
-
     def add_observation(self, z, y: float) -> None:
         """Append one observation and extend the factorization.
 
@@ -456,11 +462,11 @@ def _likelihood(z: np.ndarray, yw: np.ndarray, family: str, n_ls: int):
     here once per fit; each call does only the arithmetic that depends on
     theta.
     """
-    t, dim = z.shape
+    t = z.shape[0]
     eye = np.eye(t)
     log_norm = 0.5 * t * math.log(2.0 * math.pi)
     diffs = None
-    if family == "ard_rbf":
+    if n_ls > 1:
         # Per-dimension input differences, (dim, t, t), C-contiguous so that
         # each dimension's sum adds in the order its own (t, t) product would.
         zt = np.ascontiguousarray(z.T)
@@ -483,24 +489,15 @@ def _likelihood(z: np.ndarray, yw: np.ndarray, family: str, n_ls: int):
         alpha, _ = dpotrs(chol, yw, lower=1)
         mll = -0.5 * float(yw @ alpha) - float(np.sum(np.log(np.diag(chol)))) - log_norm
 
-        # d(mll)/d(theta_j) = 0.5 tr((alpha alpha^T - K^-1) dK/dtheta_j)
+        # d(mll)/d(theta_j) = 0.5 tr((alpha alpha^T - K^-1) dK/dtheta_j), and
+        # dK/d(log l_j) = g w_j with w_j = (diff_j / l_j)^2, or r^2 for one lengthscale.
         k_inv, _ = dpotrs(chol, eye, lower=1)
         a = np.outer(alpha, alpha) - k_inv
+        w = (diffs / ls[:, None, None]) ** 2 if n_ls > 1 else d2[None]
+        dk = functools.reduce(np.multiply, _slope_factors(family, out_var, d2, kf), w)
 
         grad = np.empty_like(theta)
-        if family == "ard_rbf":
-            scaled = kf[None] * (diffs / ls[:, None, None]) ** 2
-            grad[:n_ls] = 0.5 * (a[None] * scaled).reshape(dim, -1).sum(axis=1)
-        elif family == "rbf":
-            grad[0] = 0.5 * float(np.sum(a * (kf * d2)))
-        elif family == "matern15":
-            d = np.sqrt(d2)
-            dk = out_var * 3.0 * d2 * np.exp(-_SQRT3 * d)
-            grad[0] = 0.5 * float(np.sum(a * dk))
-        else:
-            d = np.sqrt(d2)
-            dk = out_var * (5.0 / 3.0) * d2 * (1.0 + _SQRT5 * d) * np.exp(-_SQRT5 * d)
-            grad[0] = 0.5 * float(np.sum(a * dk))
+        grad[:n_ls] = 0.5 * (a[None] * dk).reshape(n_ls, -1).sum(axis=1)
         grad[n_ls] = 0.5 * float(np.sum(a * kf))
         grad[n_ls + 1] = 0.5 * noise_var * float(np.trace(a))
         return mll, grad

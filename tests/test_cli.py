@@ -430,6 +430,26 @@ class TestConfig:
         for name, body in first.items():
             assert (out / name).read_bytes() == body
 
+    def test_multi_scene_echo_fed_back_repeats_every_scene(self, tmp_path):
+        # No camera or point count is set, so each scene takes its layout's own.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "bo": {"n_init": 4, "n_iters": 1, "af_budget": 16},
+            "kernels": ["rbf"],
+            "baseline_candidates": 2,
+            "realizations": 1,
+        }))
+        out = tmp_path / "out"
+        scenes = ("--scenes", "single,row3")
+        assert run("experiment", *scenes, "--config", str(cfg), "--out", str(out)) == 0
+        first = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert len(first) == 6
+        echo = tmp_path / "echo.json"
+        echo.write_text(json.dumps(read_json(out / "row3_summary.json")["config"]))
+        assert run("experiment", *scenes, "--config", str(echo)) == 0
+        for name, body in first.items():
+            assert (out / name).read_bytes() == body, name
+
 
 class TestHelp:
     @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 
@@ -10,6 +11,15 @@ from viewplan import FactorizationError, GpModel, KernelSpec, kernel_matrix
 from viewplan.gp import _LS_BOUNDS, _NOISE_BOUNDS, _VAR_BOUNDS, _fit_starts, _likelihood
 
 FAMILIES = ("rbf", "ard_rbf", "matern15", "matern25")
+
+
+def model_mll(model):
+    """Log marginal likelihood of a model's data at its hyperparameters, on the working scale."""
+    ls = np.atleast_1d(model.kernel.lengthscales)
+    with np.errstate(divide="ignore"):  # a noise-free model has log noise -inf
+        theta = np.log([*ls, model.kernel.output_variance, model.noise_variance])
+    yw = (model.targets - model.y_mean) / model.y_scale
+    return _likelihood(model.inputs, yw, model.kernel.family, ls.size)(theta)[0]
 
 
 class TestKernelSpec:
@@ -86,11 +96,11 @@ class TestKernelValues:
 class TestLogMarginalLikelihood:
     def test_single_zero_observation(self):
         model = GpModel(KernelSpec("rbf"), 0.0, [[0.0]], [0.0], standardize=False)
-        assert model.log_marginal_likelihood() == pytest.approx(-0.918939, abs=1e-6)
+        assert model_mll(model) == pytest.approx(-0.918939, abs=1e-6)
 
     def test_single_unit_observation(self):
         model = GpModel(KernelSpec("rbf"), 0.0, [[0.0]], [1.0], standardize=False)
-        assert model.log_marginal_likelihood() == pytest.approx(
+        assert model_mll(model) == pytest.approx(
             -0.5 - 0.5 * math.log(2.0 * math.pi), abs=1e-9
         )
 
@@ -104,7 +114,7 @@ class TestLogMarginalLikelihood:
             nv = 0.05
             model = GpModel(KernelSpec(family, 1.2, ls), nv, z, y, standardize=False)
             want = mll_dense(family, 1.2, ls, nv, z, y)
-            assert model.log_marginal_likelihood() == pytest.approx(want, abs=1e-10)
+            assert model_mll(model) == pytest.approx(want, abs=1e-10)
 
 
 class TestPosterior:
@@ -213,7 +223,9 @@ class TestPosterior:
         queries = rng.uniform(0, 1, (50, 4))
         for got, want in zip(grown.posterior_batch(queries), fresh.posterior_batch(queries)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
-        assert grown.log_marginal_likelihood() == pytest.approx(fresh.log_marginal_likelihood(), abs=1e-9)
+        # The extended factor's log determinant is the likelihood's.
+        assert grown.jitter == fresh.jitter
+        np.testing.assert_allclose(grown._chol, fresh._chol, rtol=0, atol=1e-9)
 
     def test_duplicate_observation_escalates_jitter(self):
         z = np.array([[0.1, 0.2], [0.7, 0.4]])
@@ -269,7 +281,7 @@ class TestFit:
         y = np.sin(4.0 * z[:, 0]) + 0.2 * rng.normal(size=25)
         for family in FAMILIES:
             model = GpModel.fit(z, y, family=family, seed=3)
-            fitted_mll = model.log_marginal_likelihood()
+            fitted_mll = model_mll(model)
             yw = (y - model.y_mean) / model.y_scale
             n_ls = 2 if family == "ard_rbf" else 1
             lo = np.log([_LS_BOUNDS[0]] * n_ls + [_VAR_BOUNDS[0], _NOISE_BOUNDS[0]])
@@ -283,8 +295,8 @@ class TestFit:
         z = rng.uniform(0, 1, (15, 3))
         y = np.cos(3.0 * z[:, 1]) + 0.1 * rng.normal(size=15)
         yw = (y - y.mean()) / y.std()
-        for family in FAMILIES:
-            n_ls = 3 if family == "ard_rbf" else 1
+        # Every family takes one lengthscale or one per dimension.
+        for family, n_ls in itertools.product(FAMILIES, (1, 3)):
             for _ in range(5):
                 theta = np.concatenate(
                     [
@@ -361,6 +373,122 @@ class TestFit:
                 GpModel.fit(z, y_nan, family=family)
             with pytest.raises(ValueError, match="finite"):
                 GpModel.fit(z_inf, y, family=family)
+
+
+class TestLikelihoodBits:
+    """Exact ``float.hex()`` of fitted hyperparameters and of likelihood evaluations.
+
+    Two data shapes (20 x 4 and 50 x 20), every family at its own number of
+    lengthscales. A change in the last bit of the likelihood's value or
+    gradient moves the fits, so reordering the kernel or gradient arithmetic
+    fails here.
+    """
+
+    @staticmethod
+    def data(n, d):
+        rng = np.random.default_rng(1000 * n + d)
+        z = rng.uniform(0, 1, (n, d))
+        y = np.sin(3.0 * z[:, 0]) + z[:, 1] ** 2 + z[:, 2] * z[:, 3] + 0.3 * rng.normal(size=n)
+        return z, y
+
+    # (family, n, dim) -> lengthscale(s), signal variance, noise variance of
+    # GpModel.fit(..., seed=5)
+    FITS = {
+        ('rbf', 20, 4): [
+            "0x1.1590afca018b8p-1", "0x1.7d989a3d4fac6p-1", "0x1.a3d6298861f26p-2",
+        ],
+        ('ard_rbf', 20, 4): [
+            "0x1.4000000000001p+3", "0x1.f09d43be287fep-2", "0x1.4000000000001p+3",
+            "0x1.4000000000001p+3", "0x1.bab6751116558p-1", "0x1.f66b3b93862fcp-2",
+        ],
+        ('matern15', 20, 4): [
+            "0x1.53c701f7a192bp-1", "0x1.a75fac524e15dp-1", "0x1.893ea06ec280fp-2",
+        ],
+        ('matern25', 20, 4): [
+            "0x1.47db56e4b986ep-1", "0x1.9d48ea2bb4ef2p-1", "0x1.9e80b6ec9e48bp-2",
+        ],
+        ('rbf', 50, 20): [
+            "0x1.bb2a7e8b40ed8p-1", "0x1.21f44529fad97p+0", "0x1.5798ee2308c2fp-27",
+        ],
+        ('ard_rbf', 50, 20): [
+            "0x1.6b4950f8ea13dp-2", "0x1.83de0b1fcba41p-1", "0x1.868e338842930p-1",
+            "0x1.91267e95a1b80p-1", "0x1.4000000000001p+3", "0x1.4000000000001p+3",
+            "0x1.4000000000001p+3", "0x1.4000000000001p+3", "0x1.dccd11e0dbb2ap+1",
+            "0x1.7921bd6e557c3p+0", "0x1.4000000000001p+3", "0x1.4000000000001p+3",
+            "0x1.b2fdce6f0ceb9p-1", "0x1.4000000000001p+3", "0x1.4000000000001p+3",
+            "0x1.c07f5294c58e4p-2", "0x1.4000000000001p+3", "0x1.ecf01bcb25bd8p+1",
+            "0x1.4000000000001p+3", "0x1.4000000000001p+3", "0x1.1da3b3c4ca5b6p+0",
+            "0x1.5798ee2308c2fp-27",
+        ],
+        ('matern15', 50, 20): [
+            "0x1.03ab2d0abb6adp+0", "0x1.339d52d720766p+0", "0x1.5798ee2308c2fp-27",
+        ],
+        ('matern25', 50, 20): [
+            "0x1.eb2d276173040p-1", "0x1.2e0988fc93c1ep+0", "0x1.5798ee2308c2fp-27",
+        ],
+    }
+
+    # (family, n, dim) -> value, then gradient, at log lengthscales evenly
+    # spaced from log 0.4 to log 1.5, signal variance 1.3 and noise 0.01.
+    LIKELIHOOD = {
+        ('rbf', 20, 4): [
+            "-0x1.05e87b32ee284p+5", "-0x1.bcd20a06ba0d6p+4", "0x1.ae9d89e35c598p+2",
+            "0x1.c1724afe9accdp-1",
+        ],
+        ('ard_rbf', 20, 4): [
+            "-0x1.7b99eba52eddcp+6", "-0x1.23a57498ba036p+6", "-0x1.2d6a9e3a423f4p+5",
+            "-0x1.d165f7b23d4aap+5", "-0x1.7bd2db500dc33p+4", "0x1.2a1278f0839cep+5",
+            "0x1.63e26fec3a3c9p+5",
+        ],
+        ('matern15', 20, 4): [
+            "-0x1.bd8e9a95669c2p+4", "-0x1.0f1dc0abc6ed3p+1", "0x1.3c3df319ceb70p-4",
+            "0x1.f2948f16b3365p-5",
+        ],
+        ('matern25', 20, 4): [
+            "-0x1.c9ef8628fc3cap+4", "-0x1.7cb04b4cdfc33p+2", "0x1.71c4216edd4aap+0",
+            "0x1.3f145e254db7bp-3",
+        ],
+        ('rbf', 50, 20): [
+            "-0x1.1e8b436947ebep+6", "0x1.79b5c001a744bp-1", "-0x1.803ac056b8ff1p+2",
+            "-0x1.8336c78015f8ap-5",
+        ],
+        ('ard_rbf', 50, 20): [
+            "-0x1.11f8428958d68p+6", "-0x1.d7c1bc30e4226p+0", "0x1.17aab82f6deaap-3",
+            "0x1.acd96acd03b9ep-1", "0x1.e58e535d12d8cp-1", "0x1.49944563469d1p+0",
+            "0x1.3ef9daa53042cp+0", "0x1.c0ff8b4bb9d1cp+0", "0x1.20974cfd5adf2p-1",
+            "0x1.c4630b00b5085p-1", "0x1.3a4323854fc0ap-1", "0x1.f4e5ad4c18a92p-1",
+            "0x1.997ad6b295452p-1", "0x1.59e8c74911800p-2", "0x1.102d1a0c44f10p-1",
+            "0x1.2215563e460b4p-5", "-0x1.42a45479bbef8p-6", "0x1.00ea086ff2f25p-3",
+            "0x1.7ff48a3292934p-2", "0x1.1bd61a86b3f9bp-2", "0x1.8fc6eef91dd38p-3",
+            "-0x1.c83dec7021b26p+2", "-0x1.31ca90f546c26p-4",
+        ],
+        ('matern15', 50, 20): [
+            "-0x1.1e12fbbb32077p+6", "0x1.0121a651ded66p+0", "-0x1.855c0fe853c00p+2",
+            "-0x1.90193619e83f3p-5",
+        ],
+        ('matern25', 50, 20): [
+            "-0x1.1e367809b7699p+6", "0x1.f4d93ee3c47dap-1", "-0x1.843886d9caee1p+2",
+            "-0x1.8c88f72bc37dap-5",
+        ],
+    }
+
+    @pytest.mark.parametrize("family, n, d", list(FITS))
+    def test_fit(self, family, n, d):
+        z, y = self.data(n, d)
+        model = GpModel.fit(z, y, family=family, seed=5)
+        got = [*np.atleast_1d(model.kernel.lengthscales), model.kernel.output_variance,
+               model.noise_variance]
+        assert [float(v).hex() for v in got] == self.FITS[family, n, d]
+
+    @pytest.mark.parametrize("family, n, d", list(LIKELIHOOD))
+    def test_likelihood(self, family, n, d):
+        z, y = self.data(n, d)
+        yw = (y - y.mean()) / y.std()
+        n_ls = d if family == "ard_rbf" else 1
+        ls = np.linspace(math.log(0.4), math.log(1.5), n_ls)
+        theta = np.concatenate([ls, [math.log(1.3), math.log(0.01)]])
+        value, grad = _likelihood(z, yw, family, n_ls)(theta)
+        assert [float(v).hex() for v in [value, *grad]] == self.LIKELIHOOD[family, n, d]
 
 
 class TestModelBookkeeping:
