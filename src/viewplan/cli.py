@@ -310,7 +310,13 @@ def _scene_cloud(cfg: dict, spec: SceneSpec):
             sidecar = Path(path).with_suffix(".json")
             ranges = None
             if sidecar.exists():
-                ranges = [tuple(r) for r in vio.read_json(sidecar).get("plant_ranges", [])] or None
+                meta = vio.read_json(sidecar)
+                try:
+                    ranges = [(int(a), int(b)) for a, b in meta.get("plant_ranges", [])] or None
+                except (AttributeError, TypeError, ValueError, OverflowError):
+                    raise ValueError(
+                        f"{sidecar}: plant_ranges must be a list of [start, stop] pairs"
+                    ) from None
             return vio.read_ply(path, ranges), Path(path).stem
         except ValueError as err:
             raise _FileFormatError(str(err)) from None

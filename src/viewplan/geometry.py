@@ -14,11 +14,14 @@ __all__ = [
     "Placement",
     "PointCloud",
     "SearchSpace",
-    "encode",
     "decode",
 ]
 
 _TWO_PI = 2.0 * math.pi
+
+# Largest angle the optimizer searches between a view axis and the direction
+# from the cloud centroid to its camera.
+_MAX_TILT = 0.25 * math.pi
 
 
 def _as_vec3(value) -> np.ndarray:
@@ -205,26 +208,12 @@ class SearchSpace:
         return np.array(self.upper) - np.array(self.lower)
 
 
-def encode(placement: Placement, space: SearchSpace) -> np.ndarray:
-    """Flatten a placement into a vector in [0, 1]^(5N).
-
-    Per camera: scaled x, y, z, then azimuth / 2pi and (elevation + pi/2) / pi
-    of the view axis. Raises ValueError if a position leaves the box.
-    """
-    lo = np.array(space.lower)
-    ext = space.extent()
-    out = np.empty(5 * len(placement))
-    for k, cam in enumerate(placement.cameras):
-        p = cam.position.as_array()
-        if np.any(p < lo - 1e-12) or np.any(p > lo + ext + 1e-12):
-            raise ValueError("camera position outside the search box")
-        out[5 * k : 5 * k + 3] = (p - lo) / ext
-        out[5 * k + 3 : 5 * k + 5] = _angles(cam.orientation.as_array())
-    return out
-
-
 def decode(vector, space: SearchSpace) -> Placement:
-    """Inverse of :func:`encode`; raises ValueError on a bad dimension."""
+    """Placement of a vector in [0, 1]^(5N), N >= 2; raises ValueError on a bad dimension.
+
+    Per camera: x, y, z scaled to the search box, then azimuth / 2pi and
+    (elevation + pi/2) / pi of the view axis (the inverse of ``_angles``).
+    """
     v = np.asarray(vector, dtype=float).reshape(-1)
     if v.size % 5 != 0 or v.size < 10:
         raise ValueError("encoded placement length must be 5N with N >= 2")
@@ -240,3 +229,34 @@ def decode(vector, space: SearchSpace) -> Placement:
         axis = (ce * math.cos(az), ce * math.sin(az), math.sin(el))
         cams.append(CameraPose(Point3.from_array(pos), Point3(*axis)))
     return Placement(tuple(cams))
+
+
+def _aimed_encoding(vec: np.ndarray, space: SearchSpace, centroid: np.ndarray) -> np.ndarray:
+    """The :func:`decode` vector of a placement given in centroid-relative search coordinates.
+
+    Per camera: scaled x, y, z as in :func:`decode`, then an azimuth (times
+    2pi) and a tilt (times pi/4) of the view axis around the direction from
+    ``centroid`` to the camera, so every view axis lies within pi/4 of
+    looking straight at the centroid. Raises ValueError for a camera at the
+    centroid.
+    """
+    lo = np.array(space.lower)
+    ext = space.extent()
+    chunks = np.asarray(vec, dtype=float).reshape(-1, 5)
+    out = np.empty(chunks.shape)
+    for chunk, row in zip(chunks, out):
+        pos = lo + chunk[:3] * ext
+        aim = _unit(pos - centroid, "camera position coincides with look-at target")
+        # (u, v) spans the plane normal to aim; x stands in for the vertical
+        # when the camera sits straight above or below the centroid
+        u = np.cross((0.0, 0.0, 1.0), aim)
+        if float(np.linalg.norm(u)) < 1e-9:
+            u = np.cross((1.0, 0.0, 0.0), aim)
+        u /= np.linalg.norm(u)
+        v = np.cross(aim, u)
+        az = chunk[3] * math.tau
+        tilt = chunk[4] * _MAX_TILT
+        axis = math.cos(tilt) * aim + math.sin(tilt) * (math.cos(az) * u + math.sin(az) * v)
+        row[:3] = (pos - lo) / ext
+        row[3:] = _angles(_unit(axis))
+    return out.reshape(-1)

@@ -65,6 +65,8 @@ def read_ply(path: PathLike, plant_ranges=None) -> PointCloud:
     props = []
     for ln in header:
         parts = ln.split()
+        if parts[0] in ("element", "property") and len(parts) < 3:
+            raise ValueError(f"{path}: malformed header line {ln!r}")
         if parts[0] == "element":
             if parts[1] != "vertex":
                 raise ValueError(f"{path}: unsupported element {parts[1]!r}")

@@ -2,21 +2,19 @@
 
 from __future__ import annotations
 
-import ctypes
 import math
 import multiprocessing
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
-import scipy
 
+from . import geometry
 from .acquisition import EiState, maximize_ei
-from .geometry import CameraPose, Placement, PointCloud, SearchSpace, _angles, _unit, decode
+from .geometry import CameraPose, Placement, PointCloud, SearchSpace, decode
 from .gp import KERNEL_FAMILIES, FactorizationError, GpModel
 from .reward import RewardParams, noisy_reward
 from .scene import NoiseModel, sample_realization, apply_noise
@@ -37,10 +35,6 @@ __all__ = [
 # Regret reference: rewards live in [0, 1], so 1 upper-bounds any placement's
 # value and gives a scene-independent target shared by all methods.
 OPTIMUM_VALUE = 1.0
-
-# Largest angle the optimizer searches between a view axis and the direction
-# from the cloud centroid to its camera.
-_MAX_TILT = 0.25 * math.pi
 
 
 @dataclass(frozen=True)
@@ -75,9 +69,9 @@ class BoConfig:
         return 5 * self.n_cameras
 
 
-def simple_regret(value: float, optimum: float = OPTIMUM_VALUE) -> float:
-    """Gap between the reference optimum and an achieved value."""
-    return optimum - value
+def simple_regret(value: float) -> float:
+    """Gap between :data:`OPTIMUM_VALUE` and an achieved value."""
+    return OPTIMUM_VALUE - value
 
 
 @dataclass
@@ -93,7 +87,6 @@ class RegretTrace:
     observed: list
     n_init: int
     incomplete: bool = False
-    optimum: float = OPTIMUM_VALUE
 
     def __len__(self) -> int:
         return len(self.observed)
@@ -102,7 +95,7 @@ class RegretTrace:
         return np.maximum.accumulate(np.asarray(self.observed, dtype=float))
 
     def regrets(self) -> np.ndarray:
-        return self.optimum - self.running_best()
+        return OPTIMUM_VALUE - self.running_best()
 
     def bo_regrets(self) -> np.ndarray:
         """Regret after each sequential query (design rows excluded)."""
@@ -123,7 +116,7 @@ class RegretTrace:
         best = self.running_best()
         for t, value in enumerate(self.observed):
             phase = "init" if t < self.n_init else "bo"
-            yield (t + 1, phase, float(value), float(best[t]), float(self.optimum - best[t]))
+            yield (t + 1, phase, float(value), float(best[t]), simple_regret(float(best[t])))
 
 
 @dataclass(frozen=True)
@@ -145,48 +138,17 @@ class BaselineResult:
             yield (t + 1, "baseline", float(value), float(best[t]), simple_regret(float(best[t])))
 
 
-def _aimed_encoding(vec: np.ndarray, space: SearchSpace, centroid: np.ndarray) -> np.ndarray:
-    """The :func:`encode` vector of a placement given in centroid-relative search coordinates.
-
-    Per camera: scaled x, y, z as in :func:`encode`, then an azimuth (times
-    2pi) and a tilt (times pi/4) of the view axis around the direction from
-    ``centroid`` to the camera, so every view axis lies within pi/4 of
-    looking straight at the centroid. Raises ValueError for a camera at the
-    centroid.
-    """
-    lo = np.array(space.lower)
-    ext = space.extent()
-    chunks = np.asarray(vec, dtype=float).reshape(-1, 5)
-    out = np.empty(chunks.shape)
-    for chunk, row in zip(chunks, out):
-        pos = lo + chunk[:3] * ext
-        aim = _unit(pos - centroid, "camera position coincides with look-at target")
-        # (u, v) spans the plane normal to aim; x stands in for the vertical
-        # when the camera sits straight above or below the centroid
-        u = np.cross((0.0, 0.0, 1.0), aim)
-        if float(np.linalg.norm(u)) < 1e-9:
-            u = np.cross((1.0, 0.0, 0.0), aim)
-        u /= np.linalg.norm(u)
-        v = np.cross(aim, u)
-        az = chunk[3] * math.tau
-        tilt = chunk[4] * _MAX_TILT
-        axis = math.cos(tilt) * aim + math.sin(tilt) * (math.cos(az) * u + math.sin(az) * v)
-        row[:3] = (pos - lo) / ext
-        row[3:] = _angles(_unit(axis))
-    return out.reshape(-1)
-
-
 def init_design(config: BoConfig, cloud: PointCloud) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Seeded design, uniform in the centroid-relative search coordinates.
 
-    Returns ``(xs, zs, ys)``: the search coordinates, the absolute
-    :func:`encode` vectors of their placements and the observed values,
+    Returns ``(xs, zs, ys)``: the search coordinates, their placements as
+    absolute vectors in :func:`decode`'s format and the observed values,
     each ``ys[k]`` the noisy reward of ``decode(zs[k])``.
     """
     rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed, spawn_key=(0,)))
     xs = rng.uniform(0.0, 1.0, (config.n_init, config.dim()))
     centroid = cloud.centroid()
-    zs = np.array([_aimed_encoding(x, config.space, centroid) for x in xs])
+    zs = np.array([geometry._aimed_encoding(x, config.space, centroid) for x in xs])
     ys = np.array([noisy_reward(decode(z, config.space), cloud, config.reward_params) for z in zs])
     return xs, zs, ys
 
@@ -196,7 +158,8 @@ def run_bo(config: BoConfig, cloud: PointCloud) -> RegretTrace:
 
     The surrogate is fitted on, and expected improvement maximized over, the
     centroid-relative search coordinates of :func:`init_design`; the trace
-    records each evaluated placement as its absolute :func:`encode` vector.
+    records each evaluated placement as an absolute vector in
+    :func:`decode`'s format.
     Hyperparameters are fitted once on the initial design (optionally
     refreshed every ``refit_every`` queries) and frozen in between. A
     factorization failure ends the run early with the trace flagged
@@ -223,7 +186,7 @@ def run_bo(config: BoConfig, cloud: PointCloud) -> RegretTrace:
                 model = GpModel.fit(model.inputs, model.targets, family=config.kernel, seed=fit_seed)
             state = EiState.from_model(model)
             x = maximize_ei(state, budget=config.af_budget, rng_seed=int(af_seeds[t]))
-            z = _aimed_encoding(x, config.space, centroid)
+            z = geometry._aimed_encoding(x, config.space, centroid)
             value = noisy_reward(decode(z, config.space), cloud, config.reward_params)
             model.add_observation(x, value)
         except FactorizationError:
@@ -349,34 +312,6 @@ def _cell_workers(n_cells: int) -> int:
     return min(n_cells, os.cpu_count() or 1)
 
 
-# The OpenBLAS builds that the numpy and scipy wheels bundle, and the setter
-# each exports for its thread count.
-_BUNDLED_OPENBLAS = (
-    (np, "libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
-    (scipy, "libscipy_openblas-*.so", "scipy_openblas_set_num_threads"),
-)
-
-
-def _one_blas_thread() -> None:
-    """Set every bundled OpenBLAS to one thread; runs first in each cell worker.
-
-    A forked worker inherits its parent's BLAS thread count, which is one per
-    CPU when numpy was imported before this package with
-    ``OPENBLAS_NUM_THREADS`` unset. A library that is not found (another
-    BLAS, or a package built without a bundled one) is skipped.
-    """
-    for package, pattern, setter in _BUNDLED_OPENBLAS:
-        libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
-        for path in sorted(libs.glob(pattern)):
-            try:
-                set_threads = getattr(ctypes.CDLL(str(path)), setter)
-            except (OSError, AttributeError):
-                continue
-            set_threads.argtypes = [ctypes.c_int]
-            set_threads.restype = None
-            set_threads(1)
-
-
 def run_experiment(
     scene_cloud: PointCloud,
     noise_model: NoiseModel,
@@ -394,10 +329,11 @@ def run_experiment(
     not depend on how the cells are run. With the ``fork`` start method and
     at least two usable CPUs, the cells run in forked worker processes, one
     per usable CPU and at most one per cell; otherwise they run one after
-    another in this process. Each worker sets the OpenBLAS that numpy and
-    scipy bundle to one thread before its first cell, whatever this process
-    uses, so the workers do not oversubscribe the cores. A cell that fails
-    on bad input or a numerical failure (``ValueError``,
+    another in this process. The workers inherit this process's OpenBLAS
+    setting: importing the package sets the OpenBLAS that numpy and scipy
+    bundle to one thread, so the workers do not oversubscribe the cores and
+    the grid's bits do not depend on ``OPENBLAS_NUM_THREADS``. A cell that
+    fails on bad input or a numerical failure (``ValueError``,
     ``FactorizationError``) only annotates the report with its error and
     traceback. Any other exception propagates, cancels the cells not yet
     started and returns once every worker has exited.
@@ -437,8 +373,7 @@ def run_experiment(
     workers = _cell_workers(len(cells))
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=context,
-                                 initializer=_one_blas_thread) as pool:
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
             outcomes = list(pool.map(_run_cell, names, args))
     else:
         outcomes = list(map(_run_cell, names, args))

@@ -1,10 +1,8 @@
 """Shared helpers for building random test instances."""
 
-# Imported before numpy, so the tests run one BLAS thread as the command line
-# does (see viewplan/__init__.py).
-from viewplan import CameraPose, Placement, Point3, PointCloud  # isort: skip
-
 import numpy as np
+
+from viewplan import CameraPose, Placement, Point3, PointCloud
 
 
 def random_instance(rng, n_cams, n_points, aimed_fraction=0.5):

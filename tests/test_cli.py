@@ -11,7 +11,7 @@ import pytest
 import viewplan
 from viewplan import SceneSpec, generate_scene, planner
 from viewplan.cli import main
-from viewplan.io import read_json, read_ply
+from viewplan.io import read_json, read_ply, write_ply
 
 
 @pytest.fixture
@@ -490,6 +490,26 @@ class TestBlasThreads:
                              text=True, check=True)
         assert out.stdout.strip() == expect
 
+    def test_plan_past_130_points_is_the_same_at_1_and_2_threads(self, tmp_path):
+        # A GP of about 130 or more points gives different last bits at
+        # different OpenBLAS thread counts, so the pin at import must hold.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scene": {"points_per_plant": 60}, "bo": {"refit_every": 50}}))
+        out = tmp_path / "out"
+        argv = ["plan", "--scene", "single", "--init", "10", "--iters", "140", "--seed", "4",
+                "--config", str(cfg), "--out", str(out)]
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(viewplan.__file__).parents[1]))
+            proc = subprocess.run([sys.executable, "-m", "viewplan.cli", *argv], env=env,
+                                  capture_output=True, text=True, check=True)
+            runs.append((proc.stdout, {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
+            for f in out.iterdir():
+                f.unlink()
+        assert set(runs[0][1]) == {"placement_single.json", "trace_single.csv"}
+        assert runs[0] == runs[1]
+
 
 class TestExitCodes:
     def test_no_command_is_usage_error(self, capsys):
@@ -548,12 +568,30 @@ class TestExitCodes:
                    "--out", str(tmp_path / "o"))
         assert code == 1
 
-    def test_malformed_ply_scene(self, tmp_path, tiny_config, capsys):
+    # (PLY text or None for a valid scene, sidecar text or None for no sidecar)
+    MALFORMED_SCENES = {
+        "not-a-ply": ("hello\n", None),
+        "sidecar-list": (None, "[1, 2]"),
+        "ranges-number": (None, '{"plant_ranges": 5}'),
+        "range-null": (None, '{"plant_ranges": [[0, null]]}'),
+    }
+
+    @pytest.mark.parametrize("name", list(MALFORMED_SCENES))
+    def test_malformed_ply_scene(self, tmp_path, tiny_config, capsys, name):
+        ply, sidecar = self.MALFORMED_SCENES[name]
         bad = tmp_path / "bad.ply"
-        bad.write_text("hello\n")
-        code = run("plan", "--scene", str(bad),
-                   "--config", tiny_config, "--out", str(tmp_path / "o"))
+        if ply is None:
+            write_ply(bad, generate_scene(SceneSpec(layout="single", points_per_plant=10)))
+        else:
+            bad.write_text(ply)
+        if sidecar is not None:
+            bad.with_suffix(".json").write_text(sidecar)
+        out = tmp_path / "o"
+        code = run("plan", "--scene", str(bad), "--config", tiny_config, "--out", str(out))
         assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+        assert not out.exists()
 
     def test_missing_ply_scene(self, tmp_path, tiny_config, capsys):
         code = run("plan", "--scene", str(tmp_path / "ghost.ply"),

@@ -65,12 +65,15 @@ class TestPly:
             "property double y\nproperty double z\nend_header\n1 2 3\n4 5 6\n",
             "ply\nformat ascii 1.0\nelement vertex 3\nproperty double x\n"
             "property double y\nproperty double z\nend_header\n1 2 3\n",
+            "ply\nformat ascii 1.0\nelement\nend_header\n",
+            "ply\nformat ascii 1.0\nelement vertex 1\nproperty double\n"
+            "property double y\nproperty double z\nend_header\n1 2 3\n",
         ],
     )
     def test_rejects_malformed_files(self, tmp_path, text):
         path = tmp_path / "bad.ply"
         path.write_text(text)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad.ply"):
             read_ply(path)
 
 

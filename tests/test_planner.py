@@ -30,7 +30,8 @@ from viewplan import (
     simple_regret,
 )
 from viewplan import planner as planner_mod
-from viewplan.planner import _aimed_encoding, _cell_seed
+from viewplan.geometry import _aimed_encoding
+from viewplan.planner import _cell_seed
 
 
 SMALL_CLOUD = generate_scene(SceneSpec(layout="single", points_per_plant=12, rng_seed=3))
@@ -60,9 +61,6 @@ class TestBoConfig:
 class TestSimpleRegret:
     def test_default_optimum(self):
         assert simple_regret(0.3) == 0.7
-
-    def test_custom_optimum(self):
-        assert simple_regret(0.3, optimum=2.0) == 1.7
 
 
 class TestRegretTrace:
@@ -174,7 +172,8 @@ class TestRunBo:
 
     def test_deterministic_past_130_points(self):
         # From about 130 training points the BLAS results depend on the thread
-        # count; reruns at the same thread count must still match bit for bit.
+        # count, which importing the package pins (see test_cli.py); reruns
+        # must match bit for bit.
         cfg = replace(SMALL_CFG, n_init=10, n_iters=130, refit_every=50)
         a = run_bo(cfg, SMALL_CLOUD)
         b = run_bo(cfg, SMALL_CLOUD)
@@ -217,10 +216,11 @@ def noisy_scene(layout, seed):
 class TestEvaluationBits:
     """Exact ``float.hex()`` of the design and of aimed encodings.
 
-    The values are those of :func:`encode` applied to the same placements
-    built as ``CameraPose`` objects (position, then the view axis aimed at
-    the centroid and tilted), with the reward of each design row on top. A
-    change in the last bit of a position, an angle or a reward fails here.
+    The values are the vectors in :func:`decode`'s format of the same
+    placements built as ``CameraPose`` objects (position, then the view axis
+    aimed at the centroid and tilted), with the reward of each design row on
+    top. A change in the last bit of a position, an angle or a reward fails
+    here.
     """
 
     # (layout, scene seed) -> (zs, ys) of a 2-point design with 3 cameras,
@@ -270,7 +270,7 @@ class TestEvaluationBits:
     # sits straight above or below it, where the tilt falls back to the x axis.
     EDGE_CLOUD = PointCloud([(-1.0, 0.0, 0.3), (1.0, 0.0, 0.3), (0.0, -1.0, 0.5), (0.0, 1.0, 0.5)])
 
-    # name -> (search vector, encode vector)
+    # name -> (search vector, decode-format vector)
     AIMED = {
         "corners": (
             [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0],
@@ -490,15 +490,6 @@ class TestRunExperiment:
         tiny_experiment()
         assert multiprocessing.active_children() == []
 
-    def test_each_worker_runs_the_blas_initializer(self, pooled, monkeypatch, tmp_path):
-        def record_pid():
-            (tmp_path / str(os.getpid())).touch()
-
-        monkeypatch.setattr(planner_mod, "_one_blas_thread", record_pid)
-        tiny_experiment()
-        pids = {int(f.name) for f in tmp_path.iterdir()}
-        assert pids and os.getpid() not in pids
-
     def test_failed_cell_is_isolated(self, monkeypatch):
         def boom(*args, **kwargs):
             raise ValueError("no circle today")
@@ -558,20 +549,24 @@ class TestRunExperiment:
 
 class TestWorkerBlasThreads:
     # Imports numpy and scipy before the package, with no thread count in the
-    # environment, so each OpenBLAS starts with one thread per CPU; then runs
-    # the worker initializer and prints what each library reports.
+    # environment, so each OpenBLAS starts with one thread per CPU; then
+    # imports the package and forks, as the experiment's pool does. The
+    # forked child prints what each library reports.
     CHILD = """
-import ctypes, sys
+import ctypes, os, sys
 import numpy, scipy.linalg
-from viewplan import planner
-planner._one_blas_thread()
-for path, name in zip(sys.argv[1::2], sys.argv[2::2]):
-    getter = getattr(ctypes.CDLL(path), name)
-    getter.argtypes, getter.restype = [], ctypes.c_int
-    print(getter())
+import viewplan
+pid = os.fork()
+if pid == 0:
+    for path, name in zip(sys.argv[1::2], sys.argv[2::2]):
+        getter = getattr(ctypes.CDLL(path), name)
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        print(getter(), flush=True)
+    os._exit(0)
+sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 """
 
-    def test_initializer_sets_one_thread_when_numpy_came_first(self):
+    def test_forked_child_runs_one_thread_when_numpy_came_first(self):
         bundled = [
             (Path(np.__file__).parents[1] / "numpy.libs", "libscipy_openblas64_*.so",
              "scipy_openblas_get_num_threads64_"),
