@@ -310,7 +310,10 @@ def _scene_cloud(cfg: dict, spec: SceneSpec):
             sidecar = Path(path).with_suffix(".json")
             ranges = None
             if sidecar.exists():
-                meta = vio.read_json(sidecar)
+                try:
+                    meta = vio.read_json(sidecar)
+                except ValueError as err:
+                    raise ValueError(f"{sidecar}: not valid JSON: {err}") from None
                 try:
                     ranges = [(int(a), int(b)) for a, b in meta.get("plant_ranges", [])] or None
                 except (AttributeError, TypeError, ValueError, OverflowError):

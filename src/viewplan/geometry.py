@@ -231,6 +231,14 @@ def decode(vector, space: SearchSpace) -> Placement:
     return Placement(tuple(cams))
 
 
+def _cross(a, b) -> Tuple[float, float, float]:
+    """``np.cross(a, b)`` of two 3-vectors in scalar arithmetic: the same
+    products and differences, so the same bits, without numpy's per-call cost."""
+    a0, a1, a2 = (float(c) for c in a)
+    b0, b1, b2 = (float(c) for c in b)
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
 def _aimed_encoding(vec: np.ndarray, space: SearchSpace, centroid: np.ndarray) -> np.ndarray:
     """The :func:`decode` vector of a placement given in centroid-relative search coordinates.
 
@@ -249,11 +257,13 @@ def _aimed_encoding(vec: np.ndarray, space: SearchSpace, centroid: np.ndarray) -
         aim = _unit(pos - centroid, "camera position coincides with look-at target")
         # (u, v) spans the plane normal to aim; x stands in for the vertical
         # when the camera sits straight above or below the centroid
-        u = np.cross((0.0, 0.0, 1.0), aim)
-        if float(np.linalg.norm(u)) < 1e-9:
-            u = np.cross((1.0, 0.0, 0.0), aim)
-        u /= np.linalg.norm(u)
-        v = np.cross(aim, u)
+        u = np.array(_cross((0.0, 0.0, 1.0), aim))
+        norm = np.linalg.norm(u)
+        if norm < 1e-9:
+            u = np.array(_cross((1.0, 0.0, 0.0), aim))
+            norm = np.linalg.norm(u)
+        u /= norm
+        v = np.array(_cross(aim, u))
         az = chunk[3] * math.tau
         tilt = chunk[4] * _MAX_TILT
         axis = math.cos(tilt) * aim + math.sin(tilt) * (math.cos(az) * u + math.sin(az) * v)

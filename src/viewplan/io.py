@@ -50,7 +50,10 @@ def write_ply(path: PathLike, cloud: PointCloud) -> None:
 
 def read_ply(path: PathLike, plant_ranges=None) -> PointCloud:
     """Parse the ASCII PLY layout produced by :func:`write_ply`."""
-    text = Path(path).read_text(encoding="ascii")
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "ply":
         raise ValueError(f"{path}: not a PLY file")
@@ -70,7 +73,10 @@ def read_ply(path: PathLike, plant_ranges=None) -> PointCloud:
         if parts[0] == "element":
             if parts[1] != "vertex":
                 raise ValueError(f"{path}: unsupported element {parts[1]!r}")
-            n = int(parts[2])
+            try:
+                n = int(parts[2])
+            except ValueError:
+                raise ValueError(f"{path}: vertex count {parts[2]!r} is not an integer") from None
         elif parts[0] == "property":
             if parts[1] not in ("double", "float"):
                 raise ValueError(f"{path}: unsupported property type {parts[1]!r}")
@@ -80,8 +86,11 @@ def read_ply(path: PathLike, plant_ranges=None) -> PointCloud:
     body = lines[end + 1 : end + 1 + n]
     if len(body) != n:
         raise ValueError(f"{path}: expected {n} vertex rows, found {len(body)}")
-    pts = np.array([[float(v) for v in ln.split()[:3]] for ln in body])
-    return PointCloud(pts, plant_ranges)
+    try:
+        pts = np.array([[float(v) for v in ln.split()[:3]] for ln in body])
+        return PointCloud(pts, plant_ranges)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def write_json(path: PathLike, payload) -> None:

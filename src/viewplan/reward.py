@@ -48,9 +48,10 @@ def reward(placement: Placement, cloud: PointCloud, params: RewardParams) -> flo
     per-axis component arrays of shape (N, B) for N cameras and B points of
     a block, so the arrays of one block stay in cache. The work grows with
     camera pairs x points: every pair tests every point for view and match,
-    and only the matched points reach the cross product. Each pair's
-    clipped qualities are joined across blocks in point order before one
-    sum, so the result does not depend on the block size to the last bit.
+    and only the matched points, gathered once per pair and block, reach the
+    cross product. Each pair's clipped qualities are joined across blocks in
+    point order before one sum, so the result does not depend on the block
+    size to the last bit.
     Raises ValueError if any camera (numerically) coincides with a point.
     """
     px, py, pz = np.ascontiguousarray(cloud.points.T)
@@ -61,39 +62,80 @@ def reward(placement: Placement, cloud: PointCloud, params: RewardParams) -> flo
     cos_half_fov = math.cos(0.5 * params.fov)
     cos_match = math.cos(params.theta_match)
     ax, ay, az = axes[:, 0:1], axes[:, 1:2], axes[:, 2:3]
+    # (N, B) buffers that every block reuses; a short last block takes their
+    # leading columns. Each value below is built in place, one operation at a
+    # time in the order of the expression in its comment, so it rounds the
+    # same as that expression.
+    width = min(_BLOCK, px.shape[0])
+    buffers = np.empty((7, n, width))
+    view_buffer = np.empty((n, width), dtype=bool)
+    mask_buffer = np.empty((n - 1, width), dtype=bool)
     # (i, j) -> the pair's clipped qualities, one array per block with a match.
     matched = {}
     for start in range(0, px.shape[0], _BLOCK):
-        block = slice(start, start + _BLOCK)
+        stop = min(start + _BLOCK, px.shape[0])
+        dx, dy, dz, dist, cos, tmp, prod = buffers[:, :, : stop - start]
+        in_view, pair_mask = view_buffer[:, : stop - start], mask_buffer[:, : stop - start]
         # Rays p -> camera, one (N, B) array per axis.
-        dx = cams[:, 0:1] - px[block]
-        dy = cams[:, 1:2] - py[block]
-        dz = cams[:, 2:3] - pz[block]
-        dist = np.sqrt(dx * dx + dy * dy + dz * dz)
-        if np.any(dist < COINCIDENT_EPS):
+        np.subtract(cams[:, 0:1], px[start:stop], out=dx)
+        np.subtract(cams[:, 1:2], py[start:stop], out=dy)
+        np.subtract(cams[:, 2:3], pz[start:stop], out=dz)
+        # dist = sqrt(dx * dx + dy * dy + dz * dz)
+        np.multiply(dx, dx, out=dist)
+        dist += np.multiply(dy, dy, out=tmp)
+        dist += np.multiply(dz, dz, out=tmp)
+        np.sqrt(dist, out=dist)
+        if dist.min() < COINCIDENT_EPS:
             raise ValueError("camera coincides with a scene point")
         # Dot products sum x, then z, then y, the order numpy's contraction
         # routine used when these results were first pinned: summed in another
         # order, a cosine on a view or match threshold can round to its other side.
-        in_view = (dx * ax + dz * az + dy * ay) / dist >= cos_half_fov
+        # in_view = (dx * ax + dz * az + dy * ay) / dist >= cos_half_fov
+        np.multiply(dx, ax, out=cos)
+        cos += np.multiply(dz, az, out=tmp)
+        cos += np.multiply(dy, ay, out=tmp)
+        cos /= dist
+        np.greater_equal(cos, cos_half_fov, out=in_view)
 
         for i in range(n - 1):
-            # Camera i against every partner j > i at once, one row per j.
-            denom = dist[i] * dist[i + 1 :]
-            cos_sep = (dx[i] * dx[i + 1 :] + dz[i] * dz[i + 1 :] + dy[i] * dy[i + 1 :]) / denom
+            # Camera i against every partner j > i at once, one row per j:
+            # denom = dist[i] * dist[j],
+            # cos_sep = (dx[i] * dx[j] + dz[i] * dz[j] + dy[i] * dy[j]) / denom.
+            later, rows = slice(i + 1, n), n - 1 - i
+            denom, cos_sep, part, mask = cos[:rows], tmp[:rows], prod[:rows], pair_mask[:rows]
+            np.multiply(dist[i], dist[later], out=denom)
+            np.multiply(dx[i], dx[later], out=cos_sep)
+            cos_sep += np.multiply(dz[i], dz[later], out=part)
+            cos_sep += np.multiply(dy[i], dy[later], out=part)
+            cos_sep /= denom
             # cos_match lies in (0, 1), so a cosine rounded past +-1 needs no clip.
-            mask = in_view[i] & in_view[i + 1 :] & (cos_sep >= cos_match)
+            np.greater_equal(cos_sep, cos_match, out=mask)
+            mask &= in_view[later]
+            mask &= in_view[i]
             for k in np.flatnonzero(mask.any(axis=1)):
                 j = i + 1 + k
-                m = mask[k]
-                xi, yi, zi = dx[i][m], dy[i][m], dz[i][m]
-                xj, yj, zj = dx[j][m], dy[j][m], dz[j][m]
-                cx = yi * zj - zi * yj
-                cy = zi * xj - xi * zj
-                cz = xi * yj - yi * xj
-                quality = np.sqrt(cx * cx + cy * cy + cz * cz) / denom[k][m]
+                m = np.flatnonzero(mask[k])
+                xi, yi, zi = dx[i].take(m), dy[i].take(m), dz[i].take(m)
+                xj, yj, zj = dx[j].take(m), dy[j].take(m), dz[j].take(m)
+                # Cross product (yi*zj - zi*yj, zi*xj - xi*zj, xi*yj - yi*xj):
+                # each product overwrites an operand that it is the last use of.
+                cx = yi * zj
+                yi *= xj
+                zj *= xi
+                xj *= zi
+                xi *= yj
+                zi *= yj
+                cx -= zi
+                cy = np.subtract(xj, zj, out=xj)
+                cz = np.subtract(xi, yi, out=xi)
+                # quality = sqrt(cx * cx + cy * cy + cz * cz) / denom
+                cx *= cx
+                cx += np.multiply(cy, cy, out=cy)
+                cx += np.multiply(cz, cz, out=cz)
+                np.sqrt(cx, out=cx)
+                cx /= denom[k].take(m)
                 # A quality is never negative; rounding can lift it just past 1.
-                matched.setdefault((i, j), []).append(np.minimum(quality, 1.0))
+                matched.setdefault((i, j), []).append(np.minimum(cx, 1.0, out=cx))
 
     # Pairs in (i, j) order, each summed over its whole matched array: the
     # same array, in the same order, whatever the block size.

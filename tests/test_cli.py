@@ -593,6 +593,28 @@ class TestExitCodes:
         assert err.startswith("error: ") and str(tmp_path) in err
         assert not out.exists()
 
+    # (PLY text, sidecar text or None, suffix of the file that fails to parse)
+    PLY_HEADER = ("ply\nformat ascii 1.0\nelement vertex {}\nproperty double x\n"
+                  "property double y\nproperty double z\nend_header\n")
+    UNPARSABLE_SCENES = {
+        "vertex-count": (PLY_HEADER.format("abc") + "1 2 3\n", None, ".ply"),
+        "coordinate": (PLY_HEADER.format(2) + "1 2 3\n4 zz 6\n", None, ".ply"),
+        "sidecar-not-json": (PLY_HEADER.format(2) + "1 2 3\n4 5 6\n", "{oops", ".json"),
+    }
+
+    @pytest.mark.parametrize("name", list(UNPARSABLE_SCENES))
+    def test_unparsable_scene_names_the_file(self, tmp_path, tiny_config, capsys, name):
+        ply, sidecar, suffix = self.UNPARSABLE_SCENES[name]
+        bad = tmp_path / "bad.ply"
+        bad.write_text(ply)
+        if sidecar is not None:
+            bad.with_suffix(".json").write_text(sidecar)
+        out = tmp_path / "o"
+        code = run("baseline", "--scene", str(bad), "--config", tiny_config, "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad.with_suffix(suffix)}: ")
+        assert not out.exists()
+
     def test_missing_ply_scene(self, tmp_path, tiny_config, capsys):
         code = run("plan", "--scene", str(tmp_path / "ghost.ply"),
                    "--config", tiny_config, "--out", str(tmp_path / "o"))

@@ -68,6 +68,13 @@ class TestPly:
             "ply\nformat ascii 1.0\nelement\nend_header\n",
             "ply\nformat ascii 1.0\nelement vertex 1\nproperty double\n"
             "property double y\nproperty double z\nend_header\n1 2 3\n",
+            "ply\nformat ascii 1.0\nelement vertex abc\nproperty double x\n"
+            "property double y\nproperty double z\nend_header\n1 2 3\n",
+            "ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\n"
+            "property double y\nproperty double z\nend_header\n1 zz 3\n",
+            "ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\n"
+            "property double y\nproperty double z\nend_header\n1 2\n",
+            "ply\nformat ascii 1.0\ncomment caf\u00e9\nend_header\n",
         ],
     )
     def test_rejects_malformed_files(self, tmp_path, text):

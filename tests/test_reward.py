@@ -421,6 +421,20 @@ class TestRewardBits:
         value = reward(pinned_placement(dense_cloud, 12, which), dense_cloud, RewardParams())
         assert value.hex() == self.DENSE[which]
 
+    # Every candidate of the circular baseline on the dense cloud, captured
+    # at commit 691deee, before the reward built its arrays in place.
+    DENSE_BASELINE = (
+        "0x1.84698c8d1d518p-4", "0x1.7045ceb22f408p-4", "0x1.66f6d3b5ca53ep-4",
+        "0x1.5c9a280a45dbep-4", "0x1.69c97b2582e53p-4", "0x1.7d8659c651b50p-4",
+        "0x1.6807bd72a51f3p-4", "0x1.7000710febee3p-4", "0x1.696aa2c67f658p-4",
+        "0x1.5286659ccdac2p-4",
+    )
+
+    def test_baseline_candidates_across_blocks(self, dense_cloud):
+        result = circular_baseline(BoConfig(n_cameras=6, rng_seed=12), dense_cloud,
+                                   n_candidates=10)
+        assert tuple(value.hex() for value in result.values) == self.DENSE_BASELINE
+
 
 def block_scene(seed):
     """A seeded 150-point cloud and placements with matched pair terms.
