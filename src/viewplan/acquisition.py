@@ -56,11 +56,8 @@ def _improvement(incumbent: float, mean: np.ndarray, var: np.ndarray) -> np.ndar
     sigma = np.sqrt(var)
     delta = mean - incumbent
     live = sigma > SIGMA_FLOOR
-    if live.all():
-        return _closed_form(delta, sigma)
     out = np.maximum(delta, 0.0)
-    if live.any():
-        out[live] = _closed_form(delta[live], sigma[live])
+    out[live] = _closed_form(delta[live], sigma[live])
     return out
 
 

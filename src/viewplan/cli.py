@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import io as vio
 from .geometry import SearchSpace, decode
-from .gp import KERNEL_FAMILIES, FactorizationError
+from .gp import KERNEL_FAMILIES
 from .planner import BoConfig, circular_baseline, run_bo, run_experiment
 from .reward import RewardParams
 from .scene import (
@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scene", "--cameras", "--init", "--iters", "--noise-sigma", "--candidates", "--smoke",
     )
     p_plan.add_argument("--kernel", dest="bo.kernel", choices=_KERNEL_CHOICES,
-                        type=lambda k: _KERNEL_ALIASES.get(k, k), help="surrogate kernel")
+                        help="surrogate kernel")
     p_base = command(
         "baseline", cmd_baseline, "best-of-n circular formation on one noisy cloud",
         "--scene", "--cameras", "--noise-sigma",
@@ -210,6 +210,18 @@ def _load_config(args) -> dict:
         cfg["kernels"] = _resolved(cfg["kernels"], KERNEL_FAMILIES, _KERNEL_ALIASES)
     except ValueError as err:
         raise ValueError(f"config key 'kernels': {err}") from None
+    kernel = cfg["bo"]["kernel"]
+    try:
+        cfg["bo"]["kernel"] = _resolved([kernel], KERNEL_FAMILIES, _KERNEL_ALIASES)[0]
+    except ValueError:
+        raise ValueError(
+            f"config key 'kernel': expected {', '.join(_KERNEL_CHOICES)}; got {kernel!r}"
+        ) from None
+    if not isinstance(cfg["scene_path"], (str, type(None))):
+        raise ValueError(f"config key 'scene_path' must be a string or null, "
+                         f"got {cfg['scene_path']!r}")
+    if not isinstance(cfg["out_dir"], str):
+        raise ValueError(f"config key 'out_dir' must be a string, got {cfg['out_dir']!r}")
     for key in ("realizations", "baseline_candidates", "realization_id"):
         _check_integer(key, cfg[key])
     seed = _check_integer("rng_seed", cfg["bo"]["rng_seed"])
@@ -235,16 +247,16 @@ def _is_number(value) -> bool:
 def _build(cls, section: dict, **resolved):
     """``cls`` from its config section, scalar and vector fields checked.
 
-    A bool field takes only ``true`` or ``false`` and an int field only a
-    JSON integer. A float field takes any JSON number that is a finite float
+    A string field takes only a JSON string and an int field only a JSON
+    integer. A float field takes any JSON number that is a finite float
     and holds it as a float, so ``1`` echoes as ``1.0``. A 3-vector field takes
     only a list of exactly three such numbers.
     """
     hints = typing.get_type_hints(cls)
     kwargs = {**section, **resolved}
     for key, value in kwargs.items():
-        if hints[key] is bool and not isinstance(value, bool):
-            raise ValueError(f"config key {key!r} must be true or false, got {value!r}")
+        if hints[key] is str and not isinstance(value, str):
+            raise ValueError(f"config key {key!r} must be a string, got {value!r}")
         elif hints[key] is int:
             _check_integer(key, value)
         elif hints[key] is float:
@@ -277,14 +289,15 @@ def _typed(cfg: dict, layout: str | None = None):
         layout = cfg["scene"]["layout"]
     points = cfg["scene"]["points_per_plant"]
     if points is None:
-        points = _DEFAULT_POINTS.get(layout, 500)
+        # Any other layout, of whatever JSON type, fails in _build.
+        points = _DEFAULT_POINTS[layout] if layout in LAYOUTS else 500
     spec = _build(SceneSpec, cfg["scene"], layout=layout, points_per_plant=points)
     noise = _build(NoiseModel, cfg["noise"])
     reward_params = _build(RewardParams, cfg["reward"])
     space = _build(SearchSpace, cfg["space"])
     n_cameras = cfg["bo"]["n_cameras"]
     if n_cameras is None:
-        n_cameras = _DEFAULT_CAMERAS.get(spec.layout, 4)
+        n_cameras = _DEFAULT_CAMERAS[spec.layout]
     bo = _build(BoConfig, cfg["bo"], n_cameras=n_cameras, reward_params=reward_params, space=space)
     return spec, noise, bo
 
@@ -498,9 +511,6 @@ def main(argv=None) -> int:
     except (_FileFormatError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except FactorizationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -171,15 +171,6 @@ class PointCloud:
     def centroid(self) -> np.ndarray:
         return self.points.mean(axis=0)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PointCloud):
-            return NotImplemented
-        return (
-            self.plant_ranges == other.plant_ranges
-            and self.points.shape == other.points.shape
-            and bool(np.array_equal(self.points, other.points))
-        )
-
 
 @dataclass(frozen=True)
 class SearchSpace:

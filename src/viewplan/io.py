@@ -83,7 +83,7 @@ def read_ply(path: PathLike, plant_ranges=None) -> PointCloud:
             props.append(parts[2])
     if n is None or props[:3] != ["x", "y", "z"]:
         raise ValueError(f"{path}: expected vertex element with x y z properties")
-    body = lines[end + 1 : end + 1 + n]
+    body = lines[end + 1 :]
     if len(body) != n:
         raise ValueError(f"{path}: expected {n} vertex rows, found {len(body)}")
     try:

@@ -121,15 +121,11 @@ class NoiseModel:
     """Rigid-ish plant motion: one scalar draw per plant scales a fixed
     direction by each point's relative height, so plant tops move the most
     and bases stay put.
-
-    ``shared_draw`` reuses a single scalar for every plant instead of
-    independent per-plant draws.
     """
 
     sigma: float = DEFAULT_SIGMA
     direction: Tuple[float, float, float] = (1.0, 0.0, 0.0)
     rng_seed: int = 0
-    shared_draw: bool = False
 
     def __post_init__(self):
         if self.sigma < 0.0:
@@ -162,9 +158,8 @@ def sample_realization(model: NoiseModel, cloud: PointCloud, realization_id: int
     rng = np.random.default_rng(model.rng_seed ^ realization_id)
     direction = np.asarray(model.direction)
     offsets = np.zeros((len(cloud), 3))
-    shared = rng.normal(0.0, model.sigma) if model.shared_draw else None
     for a, b in cloud.plant_ranges:
-        scalar = shared if shared is not None else rng.normal(0.0, model.sigma)
+        scalar = rng.normal(0.0, model.sigma)
         z = cloud.points[a:b, 2]
         z_min = float(z.min())
         z_max = float(z.max())

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import viewplan
-from viewplan import SceneSpec, generate_scene, planner
+from viewplan import FactorizationError, SceneSpec, generate_scene, planner
 from viewplan.cli import main
 from viewplan.io import read_json, read_ply, write_ply
 
@@ -116,6 +116,20 @@ class TestPlan:
         assert payload["n_observations"] == 4
         assert len(payload["encoded_best"]) == 15
 
+    def test_incomplete_trace_warns_and_exits_3(self, tmp_path, tiny_config, capsys,
+                                                monkeypatch):
+        def boom(*args, **kwargs):
+            raise FactorizationError(1e-4)
+
+        monkeypatch.setattr(planner.GpModel, "fit", boom)
+        out = tmp_path / "out"
+        assert run("plan", "--scene", "single", "--config", tiny_config,
+                   "--out", str(out)) == 3
+        assert "run ended early on a numerical failure" in capsys.readouterr().err
+        payload = read_json(out / "placement_single.json")
+        assert payload["incomplete"] is True
+        assert payload["n_observations"] == 4
+
     def test_ply_scene_input(self, tmp_path, tiny_config):
         out = tmp_path / "out"
         assert run(
@@ -213,6 +227,20 @@ class TestExperiment:
         assert list(summary["tracebacks"]) == list(summary["errors"])
         assert all("in no_circle" in tb for tb in summary["tracebacks"].values())
 
+    def test_every_cell_failed_exits_3(self, tmp_path, tiny_config, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("no cell today")
+
+        monkeypatch.setattr(planner, "run_bo", fail)
+        monkeypatch.setattr(planner, "circular_baseline", fail)
+        out = tmp_path / "out"
+        assert self.run_small(out, tiny_config) == 3
+        captured = capsys.readouterr()
+        assert "scene=single cells=0/4" in captured.out
+        assert "error: every experiment cell failed" in captured.err
+        summary = read_json(out / "single_summary.json")
+        assert set(summary["errors"]) == {"rbf/r0", "rbf/r1", "baseline/r0", "baseline/r1"}
+
     def test_rerun_is_byte_identical(self, tmp_path, tiny_config):
         out = tmp_path / "out"
         assert self.run_small(out, tiny_config) == 0
@@ -244,8 +272,9 @@ class TestConfig:
             ({"realisations": 2}, "realisations"),
             ({"bo": {"resample_noise": False}}, "resample_noise"),
             ({"noise": {"kind": "motion"}}, "kind"),
+            ({"noise": {"shared_draw": False}}, "shared_draw"),
         ],
-        ids=["in_section", "top_level", "resample_noise", "noise_kind"],
+        ids=["in_section", "top_level", "resample_noise", "noise_kind", "shared_draw"],
     )
     def test_unknown_key_is_rejected(self, tmp_path, capsys, payload, key):
         cfg = tmp_path / "cfg.json"
@@ -257,27 +286,51 @@ class TestConfig:
     @pytest.mark.parametrize(
         "payload, key",
         [
-            ({"noise": {"shared_draw": "false"}}, "shared_draw"),
-            ({"noise": {"shared_draw": 0}}, "shared_draw"),
+            ({"scene_path": 5}, "scene_path"),
+            ({"scene_path": ["a.ply"]}, "scene_path"),
+            ({"scene_path": True}, "scene_path"),
+            ({"out_dir": 5}, "out_dir"),
+            ({"out_dir": None}, "out_dir"),
+            ({"scene": {"layout": ["single"]}}, "layout"),
+            ({"scene": {"layout": {"a": 1}}}, "layout"),
         ],
-        ids=["string", "integer"],
+        ids=["path_int", "path_list", "path_bool", "out_int", "out_null", "layout_list",
+             "layout_object"],
     )
-    def test_non_bool_in_bool_field_is_rejected(self, tmp_path, capsys, payload, key):
+    def test_wrong_json_type_exits_before_writing(self, tmp_path, tiny_config, capsys,
+                                                  monkeypatch, payload, key):
+        payload = {**read_json(tiny_config), **payload}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(payload))
-        code = run("generate-scene", "--config", str(cfg), "--out", str(tmp_path / "o"))
-        assert code == 1
-        assert key in capsys.readouterr().err
+        monkeypatch.chdir(tmp_path)
+        argv = ["plan", "--config", str(cfg)]
+        if "out_dir" not in payload:
+            argv += ["--out", str(tmp_path / "o")]
+        assert run(*argv) == 1
+        assert repr(key) in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "tiny.json"]
+
+    @pytest.mark.parametrize("bad", [5, ["rbf"], "spline"], ids=["int", "list", "unknown"])
+    def test_bad_config_kernel_exits_before_writing(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bo": {"kernel": bad}}))
+        out = tmp_path / "out"
+        assert run("plan", "--smoke", "--config", str(cfg), "--out", str(out)) == 1
+        assert "'kernel'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_kernels_resolve_the_alias(self, tmp_path, tiny_config):
+        payload = dict(read_json(tiny_config), kernels=["ard"], realizations=1)
+        payload["bo"]["kernel"] = "ard"
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(dict(read_json(tiny_config), kernels=["ard"], realizations=1)))
+        cfg.write_text(json.dumps(payload))
         out = tmp_path / "out"
         assert run("experiment", "--scenes", "single", "--config", str(cfg),
                    "--out", str(out)) == 0
         summary = read_json(out / "single_summary.json")
         assert summary["kernels"] == ["ard_rbf"]
         assert summary["config"]["kernels"] == ["ard_rbf"]
+        assert summary["config"]["bo"]["kernel"] == "ard_rbf"
 
     @pytest.mark.parametrize("kernels", [["spline"], "rbf", []],
                              ids=["unknown", "not_a_list", "empty"])

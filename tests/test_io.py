@@ -65,6 +65,8 @@ class TestPly:
             "property double y\nproperty double z\nend_header\n1 2 3\n4 5 6\n",
             "ply\nformat ascii 1.0\nelement vertex 3\nproperty double x\n"
             "property double y\nproperty double z\nend_header\n1 2 3\n",
+            "ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\n"
+            "property double y\nproperty double z\nend_header\n1 2 3\n4 5 6\n7 8 9\n",
             "ply\nformat ascii 1.0\nelement\nend_header\n",
             "ply\nformat ascii 1.0\nelement vertex 1\nproperty double\n"
             "property double y\nproperty double z\nend_header\n1 2 3\n",

@@ -51,6 +51,7 @@ class TestBoConfig:
             {"n_cameras": 3, "kernel": "cubic"},
             {"n_cameras": 3, "af_budget": 0},
             {"n_cameras": 3, "refit_every": -2},
+            {"n_cameras": 3, "n_init": 1},
         ],
     )
     def test_validation(self, kwargs):
@@ -528,6 +529,19 @@ class TestRunExperiment:
             tb = report.tracebacks["rbf/r0"]
             assert "in run_bo" in tb and "in flaky" in tb
             assert tb.rstrip().endswith("ValueError: camera on a scene point")
+
+    def test_factorization_failure_flags_its_cell(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise FactorizationError(1e-4)
+
+        monkeypatch.setattr(planner_mod.GpModel, "fit", boom)
+        for workers in DISPATCHES:
+            run_on(monkeypatch, workers)
+            report = tiny_experiment(kernels=("rbf",), n_realizations=1)
+            assert report.errors == {"rbf/r0": "incomplete: surrogate factorization failed"}
+            assert report.tracebacks == {}
+            assert report.traces[("rbf", 0)].incomplete
+            assert set(report.baselines) == {0}
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):

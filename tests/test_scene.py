@@ -150,16 +150,6 @@ class TestSampleRealization:
             tops.append(real.offsets[a:b][int(np.argmax(z)), 0])
         assert len(set(np.round(tops, 12))) == 3
 
-    def test_shared_draw_moves_plants_in_lockstep(self):
-        cloud = generate_scene(SceneSpec("row3", points_per_plant=80, rng_seed=3))
-        real = sample_realization(NoiseModel(rng_seed=8, shared_draw=True), cloud, 0)
-        tops = []
-        for a, b in cloud.plant_ranges:
-            z = cloud.points[a:b, 2]
-            tops.append(real.offsets[a:b][int(np.argmax(z)), 0])
-        assert tops[0] != 0.0
-        assert tops == pytest.approx([tops[0]] * 3, abs=1e-15)
-
     def test_negative_realization_id_rejected(self):
         cloud = generate_scene(SceneSpec("single", points_per_plant=30, rng_seed=0))
         with pytest.raises(ValueError):
