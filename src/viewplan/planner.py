@@ -204,7 +204,15 @@ def circular_baseline(config: BoConfig, cloud: PointCloud, n_candidates: int = 5
     surrounds the cloud, sampling the radius uniformly between the cloud's
     enclosing horizontal radius and the box half-extent and the height
     uniformly over the box's vertical range; circles that leave the box are
-    resampled.
+    resampled. All candidates are sampled before any is scored, so a
+    sampling failure surfaces even when scoring an earlier candidate would
+    have failed first. The candidates are then scored in contiguous chunks,
+    one per usable CPU, in forked worker processes that inherit the cloud
+    instead of receiving a pickled copy (see :func:`_fork_map`; in this
+    process under ``taskset -c 0``, without ``fork``, or inside an
+    experiment's worker). The result does not depend on how they are
+    scored: the winner is the first best candidate, and a scoring error is
+    the first one in candidate order.
     """
     if n_candidates < 1:
         raise ValueError("n_candidates must be at least 1")
@@ -220,8 +228,7 @@ def circular_baseline(config: BoConfig, cloud: PointCloud, n_candidates: int = 5
         raise ValueError("search box cannot hold a formation surrounding the cloud")
     angles = 2.0 * math.pi * np.arange(config.n_cameras) / config.n_cameras
 
-    values, radii, heights = [], [], []
-    best_value, best_placement = -math.inf, None
+    placements, radii, heights = [], [], []
     for _ in range(n_candidates):
         for _ in range(1000):
             radius = rng.uniform(r_enclose, r_cap)
@@ -232,22 +239,29 @@ def circular_baseline(config: BoConfig, cloud: PointCloud, n_candidates: int = 5
                 break
         else:
             raise ValueError("could not sample an in-box circular candidate")
-        placement = Placement(tuple(
+        placements.append(Placement(tuple(
             CameraPose.looking_at((x, y, height), centroid) for x, y in zip(xs, ys)
-        ))
-        value = noisy_reward(placement, cloud, config.reward_params)
-        values.append(value)
+        )))
         radii.append(radius)
         heights.append(height)
-        if value > best_value:
-            best_value, best_placement = value, placement
+
+    workers = _workers(n_candidates)
+    bounds = [k * n_candidates // workers for k in range(workers + 1)]
+    chunks = [(placements[a:b], cloud, config.reward_params) for a, b in zip(bounds, bounds[1:])]
+    values = [float(v) for chunk in _fork_map(_score, chunks, workers) for v in chunk]
+    best = values.index(max(values))
     return BaselineResult(
-        placement=best_placement,
-        best_value=float(best_value),
-        values=tuple(float(v) for v in values),
+        placement=placements[best],
+        best_value=values[best],
+        values=tuple(values),
         radii=tuple(float(r) for r in radii),
         heights=tuple(float(h) for h in heights),
     )
+
+
+def _score(placements: Sequence[Placement], cloud: PointCloud, params: RewardParams) -> list:
+    """Noisy rewards of ``placements``, one after another, in order."""
+    return [noisy_reward(placement, cloud, params) for placement in placements]
 
 
 @dataclass
@@ -291,25 +305,58 @@ def _cell_seed(master: int, spawn_key: Tuple[int, ...]) -> int:
     return int(np.random.SeedSequence(master, spawn_key=spawn_key).generate_state(1)[0])
 
 
-def _run_cell(name: str, args: tuple):
-    """Run one experiment cell: this module's ``run_bo`` or ``circular_baseline``.
+def _run_cell(fn, args: tuple):
+    """Run one experiment cell, ``fn(*args)``.
 
-    The function is looked up by name when the cell runs, so a replaced
-    module attribute also applies in a forked worker. Returns ``(result,
-    None, None)``, or ``(None, error, traceback)`` for a cell that raised one
-    of ``_CELL_ERRORS``; any other exception propagates.
+    Returns ``(result, None, None)``, or ``(None, error, traceback)`` for a
+    cell that raised one of ``_CELL_ERRORS``; any other exception propagates.
     """
     try:
-        return globals()[name](*args), None, None
+        return fn(*args), None, None
     except _CELL_ERRORS as err:
         return None, f"{type(err).__name__}: {err}", traceback.format_exc()
 
 
-def _cell_workers(n_cells: int) -> int:
-    """Worker processes for ``n_cells`` cells: one per usable CPU, at most one per cell."""
+def _workers(n_tasks: int) -> int:
+    """Worker processes for ``n_tasks`` tasks: one per usable CPU, at most one per task."""
     if hasattr(os, "sched_getaffinity"):
-        return min(n_cells, len(os.sched_getaffinity(0)))
-    return min(n_cells, os.cpu_count() or 1)
+        return min(n_tasks, len(os.sched_getaffinity(0)))
+    return min(n_tasks, os.cpu_count() or 1)
+
+
+# The function and tasks a _fork_map worker inherited; set only in the worker,
+# by the pool's initializer, before it takes its first task.
+_forked: tuple = (None, ())
+
+
+def _inherit(fn, tasks) -> None:
+    global _forked
+    _forked = fn, tasks
+
+
+def _forked_task(index: int):
+    fn, tasks = _forked
+    return fn(*tasks[index])
+
+
+def _fork_map(fn, tasks: Sequence[tuple], workers: int) -> list:
+    """``[fn(*t) for t in tasks]``, on up to ``workers`` forked processes.
+
+    The workers inherit ``fn`` and ``tasks`` through fork, so only task
+    indices and results are pickled, and each idle worker takes the next
+    task. It runs in this process when ``workers`` is 1, when the platform
+    has no ``fork``, or when this process is itself a forked worker, so a
+    worker never forks again. An exception from ``fn`` propagates, the first
+    in task order, once the tasks not yet started are cancelled and every
+    worker has exited.
+    """
+    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.parent_process() is not None):
+        return [fn(*task) for task in tasks]
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context, initializer=_inherit,
+                             initargs=(fn, tasks)) as pool:
+        return list(pool.map(_forked_task, range(len(tasks))))
 
 
 def run_experiment(
@@ -329,7 +376,11 @@ def run_experiment(
     not depend on how the cells are run. With the ``fork`` start method and
     at least two usable CPUs, the cells run in forked worker processes, one
     per usable CPU and at most one per cell; otherwise they run one after
-    another in this process. The workers inherit this process's OpenBLAS
+    another in this process (see :func:`_fork_map`). The workers inherit
+    the cells' configs and noisy clouds through fork, sharing them
+    copy-on-write instead of receiving pickled copies, and a baseline cell
+    scores its candidates one after another in the worker that runs it.
+    The workers also inherit this process's OpenBLAS
     setting: importing the package sets the OpenBLAS that numpy and scipy
     bundle to one thread, so the workers do not oversubscribe the cores and
     the grid's bits do not depend on ``OPENBLAS_NUM_THREADS``. A cell that
@@ -353,27 +404,21 @@ def run_experiment(
     }
     master = base_config.rng_seed
 
-    # (label, where the result goes, its key, function name, arguments)
+    # (label, where the result goes, its key, (function, arguments))
     cells = []
     for kernel_idx, kernel in enumerate(report.kernels):
         for rid in range(n_realizations):
             seed = _cell_seed(master, (1, kernel_idx, rid))
             cfg = replace(base_config, kernel=kernel, rng_seed=seed)
             cells.append((f"{kernel}/r{rid}", report.traces, (kernel, rid),
-                          "run_bo", (cfg, noisy_clouds[rid])))
+                          (run_bo, (cfg, noisy_clouds[rid]))))
     for rid in range(n_realizations):
         cfg = replace(base_config, rng_seed=_cell_seed(master, (2, rid)))
         cells.append((f"baseline/r{rid}", report.baselines, rid,
-                      "circular_baseline", (cfg, noisy_clouds[rid], n_baseline)))
-    labels, targets, keys, names, args = zip(*cells)
+                      (circular_baseline, (cfg, noisy_clouds[rid], n_baseline))))
+    labels, targets, keys, tasks = zip(*cells)
 
-    workers = _cell_workers(len(cells))
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            outcomes = list(pool.map(_run_cell, names, args))
-    else:
-        outcomes = list(map(_run_cell, names, args))
+    outcomes = _fork_map(_run_cell, tasks, _workers(len(tasks)))
 
     for label, target, key, (result, error, tb) in zip(labels, targets, keys, outcomes):
         if error is not None:

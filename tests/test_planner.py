@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -120,6 +121,18 @@ def fail_first_query(monkeypatch, n_init):
     monkeypatch.setattr(planner_mod, "noisy_reward", flaky)
 
 
+def record_scoring(monkeypatch):
+    """The list of process ids of the ``noisy_reward`` calls made in this process."""
+    scored_in = []
+
+    def recording(*args):
+        scored_in.append(os.getpid())
+        return noisy_reward(*args)
+
+    monkeypatch.setattr(planner_mod, "noisy_reward", recording)
+    return scored_in
+
+
 class TestInitDesign:
     def test_shape_and_range(self):
         _, zs, ys = init_design(SMALL_CFG, SMALL_CLOUD)
@@ -208,9 +221,9 @@ class TestRunBo:
         assert len(trace) == SMALL_CFG.n_init
 
 
-def noisy_scene(layout, seed):
-    """Realization 0 of a seeded scene with 100 points per plant."""
-    clean = generate_scene(SceneSpec(layout=layout, points_per_plant=100, rng_seed=seed))
+def noisy_scene(layout, seed, points_per_plant=100):
+    """Realization 0 of a seeded scene, noise seeded with ``seed + 1``."""
+    clean = generate_scene(SceneSpec(layout=layout, points_per_plant=points_per_plant, rng_seed=seed))
     return apply_noise(clean, sample_realization(NoiseModel(rng_seed=seed + 1), clean, 0))
 
 
@@ -396,13 +409,14 @@ def assert_same_report(a, b):
     assert a.tracebacks.keys() == b.tracebacks.keys()
 
 
-# Worker counts that exercise both dispatch paths: in-process, then (where
-# fork exists) two worker processes.
+# Worker counts that exercise both dispatch paths of the experiment's cells
+# and the baseline's candidates: in-process, then (where fork exists) two
+# worker processes.
 DISPATCHES = [1, 2] if "fork" in multiprocessing.get_all_start_methods() else [1]
 
 
 def run_on(monkeypatch, workers):
-    monkeypatch.setattr(planner_mod, "_cell_workers", lambda n_cells: min(n_cells, workers))
+    monkeypatch.setattr(planner_mod, "_workers", lambda n_tasks: min(n_tasks, workers))
 
 
 @pytest.fixture
@@ -411,6 +425,87 @@ def pooled(monkeypatch):
     if 2 not in DISPATCHES:
         pytest.skip("the worker pool needs the fork start method")
     run_on(monkeypatch, 2)
+
+
+@pytest.mark.skipif(2 not in DISPATCHES, reason="the worker pool needs fork")
+def test_fork_map_hands_tasks_over_by_fork():
+    # Neither the lambda nor the tasks' locks can be pickled.
+    tasks = [(k, threading.Lock()) for k in range(5)]
+    out = planner_mod._fork_map(lambda k, lock: (k * k, os.getpid()), tasks, 2)
+    assert [square for square, _ in out] == [0, 1, 4, 9, 16]
+    assert os.getpid() not in {pid for _, pid in out}
+    assert multiprocessing.active_children() == []
+
+
+class TestBaselineDispatch:
+    """The baseline scores its candidates alike in-process and on two forked workers."""
+
+    pytestmark = pytest.mark.skipif(2 not in DISPATCHES, reason="the worker pool needs fork")
+
+    @pytest.fixture(scope="class")
+    def dense_cloud(self):
+        # The 45,000-point cloud of TestRewardBits.dense_cloud in test_reward.py.
+        return noisy_scene("grid9", 12, points_per_plant=5000)
+
+    @staticmethod
+    def assert_same_on_both_paths(monkeypatch, config, cloud, n_candidates):
+        results = []
+        for workers in DISPATCHES:
+            run_on(monkeypatch, workers)
+            results.append(circular_baseline(config, cloud, n_candidates=n_candidates))
+            assert multiprocessing.active_children() == []
+        in_process, forked = results
+        assert forked.values == in_process.values
+        assert forked.radii == in_process.radii
+        assert forked.heights == in_process.heights
+        assert forked.placement == in_process.placement
+        assert forked.best_value == in_process.best_value
+
+    def test_small_cloud(self, monkeypatch):
+        # 7 candidates: chunks of 3 and 4
+        self.assert_same_on_both_paths(monkeypatch, SMALL_CFG, SMALL_CLOUD, 7)
+
+    def test_dense_cloud(self, monkeypatch, dense_cloud):
+        self.assert_same_on_both_paths(monkeypatch, BoConfig(n_cameras=6, rng_seed=12),
+                                       dense_cloud, 10)
+
+    def test_candidates_score_in_forked_workers(self, monkeypatch):
+        scored_in = record_scoring(monkeypatch)
+        run_on(monkeypatch, 2)
+        assert len(circular_baseline(SMALL_CFG, SMALL_CLOUD, n_candidates=6).values) == 6
+        assert scored_in == []
+        run_on(monkeypatch, 1)
+        circular_baseline(SMALL_CFG, SMALL_CLOUD, n_candidates=6)
+        assert scored_in == [os.getpid()] * 6
+
+    def test_first_best_candidate_wins_a_tie(self, monkeypatch):
+        monkeypatch.setattr(planner_mod, "noisy_reward", lambda *args: 0.25)
+        for workers in DISPATCHES:
+            run_on(monkeypatch, workers)
+            result = circular_baseline(SMALL_CFG, SMALL_CLOUD, n_candidates=6)
+            assert result.values == (0.25,) * 6
+            assert result.placement.cameras[0].position.z == result.heights[0]
+
+    # Candidates whose scoring raises: in both chunks of 8, in the second only, in all.
+    @pytest.mark.parametrize("failing", [(2, 5), (5,), tuple(range(8))])
+    def test_scoring_error_is_the_same_on_both_paths(self, monkeypatch, failing):
+        heights = circular_baseline(SMALL_CFG, SMALL_CLOUD, n_candidates=8).heights
+        bad = {heights[k] for k in failing}
+
+        def picky(placement, cloud, params):
+            z = placement.cameras[0].position.z
+            if z in bad:
+                raise ValueError(f"no score at height {z.hex()}")
+            return noisy_reward(placement, cloud, params)
+
+        monkeypatch.setattr(planner_mod, "noisy_reward", picky)
+        for workers in DISPATCHES:
+            run_on(monkeypatch, workers)
+            with pytest.raises(ValueError) as info:
+                circular_baseline(SMALL_CFG, SMALL_CLOUD, n_candidates=8)
+            assert type(info.value) is ValueError
+            assert str(info.value) == f"no score at height {heights[failing[0]].hex()}"
+            assert multiprocessing.active_children() == []
 
 
 class TestRunExperiment:
@@ -467,8 +562,8 @@ class TestRunExperiment:
 
     def test_one_worker_per_usable_cpu(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-        assert planner_mod._cell_workers(9) == 4
-        assert planner_mod._cell_workers(2) == 2
+        assert planner_mod._workers(9) == 4
+        assert planner_mod._workers(2) == 2
 
     def test_pooled_cells_match_direct_calls(self, pooled):
         report = tiny_experiment()
@@ -553,6 +648,22 @@ class TestRunExperiment:
             with pytest.raises(TypeError, match="a bug"):
                 tiny_experiment()
             assert multiprocessing.active_children() == []
+
+    def test_baseline_cell_scores_in_its_own_worker(self, pooled, monkeypatch):
+        scored_in = record_scoring(monkeypatch)
+
+        def counting(*args):
+            before = len(scored_in)
+            circular_baseline(*args)
+            return os.getpid(), scored_in[before:]
+
+        monkeypatch.setattr(planner_mod, "circular_baseline", counting)
+        report = tiny_experiment(kernels=("rbf",), n_realizations=2)
+        assert scored_in == []
+        for rid in range(2):
+            worker, pids = report.baselines[rid]
+            assert worker != os.getpid()
+            assert pids == [worker] * 3
 
     def test_validation(self):
         with pytest.raises(ValueError):
