@@ -9,9 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import scipy
+from scipy.optimize import minimize
 from scipy.special import ndtr
 
-from .gp import GpModel
+from .gp import GpModel, _probe_positions
 
 __all__ = ["SIGMA_FLOOR", "EiState", "ei_value", "ei_values", "maximize_ei"]
 
@@ -20,11 +21,13 @@ SIGMA_FLOOR = 1e-12
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# Pattern search in maximize_ei: starts, first and smallest step, round cap.
+# Pattern search in maximize_ei: starts, first and smallest step, round cap;
+# then the iteration cap of the L-BFGS-B polish that follows it.
 _N_REFINE = 5
 _STEP_INIT = 0.05
 _STEP_MIN = 1e-4
-_MAX_ROUNDS = 200
+_MAX_ROUNDS = 60
+_POLISH_ITERS = 100
 
 # Scrambled Sobol' candidates: the Joe-Kuo direction numbers that
 # scipy.stats.qmc.Sobol reads, loaded once so forked workers share them.
@@ -135,21 +138,27 @@ def _sobol_candidates(dim: int, budget: int, rng_seed: int) -> np.ndarray:
     return (table[i ^ (i >> 1)] ^ shift) * 2.0**-_SOBOL_BITS
 
 
-def maximize_ei(state: EiState, budget: int = 2048, rng_seed: int = 0) -> np.ndarray:
-    """Approximate argmax of EI over the unit cube.
+def _ei_and_grad(state: EiState, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """EI at each row of z and its gradient in that row.
 
-    Scores a seeded low-discrepancy candidate set plus the single best
-    training input verbatim, then runs coordinate pattern search from the top
-    ``_N_REFINE`` candidates, halving a start's step from ``_STEP_INIT``
-    until it falls below ``_STEP_MIN`` or ``_MAX_ROUNDS`` rounds have run.
-    A round scores every active start's 2d probes in one
-    :meth:`GpModel.coordinate_probes` call; while every start is active it
-    works on the start arrays in place, and a start that improves takes its
-    best probe's row by index. Deterministic given the seed; the result
-    never leaves [0, 1]^d and its EI is at least the best raw candidate's.
+    dEI = Phi(u) dmean + phi(u) dsigma with u = (mean - incumbent) / sigma;
+    at or below ``SIGMA_FLOOR`` EI is the plain improvement and so is its
+    gradient.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    mean, var, mean_grad, var_grad = state.model._posterior_grad(z)
+    ei = _improvement(state.incumbent, mean, var)
+    delta = mean - state.incumbent
+    sigma = np.sqrt(var)
+    live = sigma > SIGMA_FLOOR
+    grad = mean_grad * (delta > 0.0)[:, None]
+    u = delta[live] / sigma[live]
+    phi = _INV_SQRT_2PI * np.exp(-0.5 * u * u)
+    grad[live] = ndtr(u)[:, None] * mean_grad[live] + (phi / (2.0 * sigma[live]))[:, None] * var_grad[live]
+    return ei, grad
+
+
+def _pattern_search(state: EiState, budget: int, rng_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The starts of :func:`maximize_ei` after its pattern search, and their EI."""
     model = state.model
     dim = model.dim
     cand = _sobol_candidates(dim, budget, rng_seed)
@@ -175,6 +184,10 @@ def maximize_ei(state: EiState, budget: int = 2048, rng_seed: int = 0) -> np.nda
             x, f, step = xs[active], fs[active], steps[active]
         probes, mean, var = model.coordinate_probes(x, step)
         pvals = _improvement(state.incumbent, mean, var)
+        # A probe clipped back onto its center does not move, whatever its
+        # EI rounds to.
+        moved = probes.take(_probe_positions(x.shape[0], dim)).reshape(x.shape[0], dim, 2)
+        pvals[(moved == x[:, :, None]).reshape(-1)] = -np.inf
         # Flat index of each start's best probe: its row in probes.
         best_probe = np.arange(0, pvals.size, width) + np.argmax(pvals.reshape(-1, width), axis=1)
         top = pvals[best_probe]
@@ -184,5 +197,55 @@ def maximize_ei(state: EiState, budget: int = 2048, rng_seed: int = 0) -> np.nda
         step[~better] *= 0.5
         if active is not None:
             xs[active], fs[active], steps[active] = x, f, step
-    best = int(np.argmax(fs))
-    return xs[best].copy()
+    return xs, fs
+
+
+def _polish(state: EiState, xs: np.ndarray) -> np.ndarray:
+    """The best of the starts ``xs`` after one bounded L-BFGS-B run on their summed EI.
+
+    A start takes its polished point only where :func:`ei_values` is
+    strictly higher there. Both sides are scored by :func:`ei_values`, not
+    by the probe arithmetic that found the starts, so the result's EI is at
+    least every start's.
+    """
+    shape = xs.shape
+
+    def objective(flat: np.ndarray):
+        ei, grad = _ei_and_grad(state, flat.reshape(shape))
+        return -ei.sum(), -grad.reshape(-1)
+
+    # EI's scale follows the targets', so no absolute gradient tolerance fits
+    # every state: the run stops on its relative decrease or the cap.
+    res = minimize(objective, xs.reshape(-1), jac=True, method="L-BFGS-B",
+                   bounds=[(0.0, 1.0)] * xs.size,
+                   options={"maxiter": _POLISH_ITERS, "gtol": 0.0})
+    polished = res.x.reshape(shape)
+    before, after = ei_values(state, np.vstack([xs, polished])).reshape(2, -1)
+    better = after > before
+    best = int(np.argmax(np.where(better, after, before)))
+    return (polished if better[best] else xs)[best].copy()
+
+
+def maximize_ei(state: EiState, budget: int = 2048, rng_seed: int = 0) -> np.ndarray:
+    """Approximate argmax of EI over the unit cube.
+
+    Scores a seeded low-discrepancy candidate set plus the single best
+    training input verbatim, then runs coordinate pattern search from the top
+    ``_N_REFINE`` candidates, halving a start's step from ``_STEP_INIT``
+    until it falls below ``_STEP_MIN`` or ``_MAX_ROUNDS`` rounds have run.
+    A round scores every active start's 2d probes in one
+    :meth:`GpModel.coordinate_probes` call; a probe whose clipped coordinate
+    equals its center's is never a move. While every start is active the
+    round works on the start arrays in place, and a start that improves
+    takes its best probe's row by index. One bounded L-BFGS-B run of at
+    most ``_POLISH_ITERS`` iterations on the summed closed-form EI and its
+    analytic gradient then polishes every start at once, and a start keeps
+    its polished point only where EI is strictly higher. Deterministic given
+    the seed; the result never leaves [0, 1]^d and its EI is at least that
+    of the pattern search's best start, hence at least the best raw
+    candidate's.
+    """
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    xs, _ = _pattern_search(state, budget, rng_seed)
+    return _polish(state, xs)

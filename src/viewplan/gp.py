@@ -296,13 +296,46 @@ class GpModel:
         else:
             d2 = _sqdist
         ks = _kernel_of_sqdist(self.kernel.family, self.kernel.output_variance, d2)
+        mean, var, _ = self._predict(ks)
+        return mean, var
+
+    def _predict(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Means and variances (original scale) of kernel rows ``ks``, and ``v = ks L^-T``."""
         mean_w = ks @ self._alpha
         v = ks @ self._chol_inv.T
         var_w = self.kernel.output_variance - np.einsum("ij,ij->i", v, v)
         var_w = np.maximum(var_w, 0.0)
         mean = self._y_mean + self._y_scale * mean_w
         var = (self._y_scale**2) * var_w
-        return mean, var
+        return mean, var, v
+
+    def _posterior_grad(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Posterior means and variances at rows of z, and their gradients in each row.
+
+        Returns (means, variances, mean gradients, variance gradients), the
+        gradients shaped like z. For every family the covariance with
+        training input z_i has gradient -g (z - z_i) / ls^2, g from
+        :func:`_slope_factors`; the variance's gradient is that of
+        -k^T K^-1 k. A variance clipped to 0 keeps the unclipped gradient.
+        """
+        zq = np.atleast_2d(np.asarray(z, dtype=float))
+        if zq.shape[1] != self.dim:
+            raise ValueError("query dimension does not match training inputs")
+        family, out_var = self.kernel.family, self.kernel.output_variance
+        d2 = np.maximum(cdist(zq / self._ls, self._zs, metric="sqeuclidean"), 0.0)
+        ks = _kernel_of_sqdist(family, out_var, d2.copy())
+        mean, var, v = self._predict(ks)
+        g = functools.reduce(np.multiply, _slope_factors(family, out_var, d2, ks))
+        inv_ls2 = 1.0 / self._ls**2
+
+        def gradient(weights: np.ndarray) -> np.ndarray:
+            # sum_i weights_i dk_i/dz, row by row.
+            gw = g * weights
+            return (gw @ self._z - gw.sum(axis=1)[:, None] * zq) * inv_ls2
+
+        mean_grad = gradient(self._y_scale * self._alpha)
+        var_grad = gradient(-2.0 * self._y_scale**2 * (v @ self._chol_inv))
+        return mean, var, mean_grad, var_grad
 
     def coordinate_probes(self, centers, steps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Probes of a coordinate search and their posterior.

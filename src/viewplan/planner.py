@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ctypes
 import math
 import multiprocessing
 import os
+import signal
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -324,14 +326,39 @@ def _workers(n_tasks: int) -> int:
     return min(n_tasks, os.cpu_count() or 1)
 
 
+# prctl option: the signal this process gets when its parent thread exits.
+_PR_SET_PDEATHSIG = 1
+
 # The function and tasks a _fork_map worker inherited; set only in the worker,
 # by the pool's initializer, before it takes its first task.
 _forked: tuple = (None, ())
 
 
-def _inherit(fn, tasks) -> None:
+def _inherit(fn, tasks, parent: int) -> None:
     global _forked
     _forked = fn, tasks
+    _die_with(parent)
+
+
+def _die_with(parent: int) -> None:
+    """Have Linux kill this worker when its parent process ``parent`` dies.
+
+    A pool worker blocks on its call queue and would never see the parent
+    go. PR_SET_PDEATHSIG fires when the thread that forked this process
+    exits; a fork-context pool forks all its workers from the caller's
+    thread on the first submit, and that thread waits for the pool. If the
+    parent died before the request, exit now. Does nothing where libc has
+    no ``prctl``.
+    """
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (OSError, AttributeError):
+        return
+    prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+    prctl.restype = ctypes.c_int
+    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:
+        os._exit(1)
 
 
 def _forked_task(index: int):
@@ -355,7 +382,7 @@ def _fork_map(fn, tasks: Sequence[tuple], workers: int) -> list:
         return [fn(*task) for task in tasks]
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, mp_context=context, initializer=_inherit,
-                             initargs=(fn, tasks)) as pool:
+                             initargs=(fn, tasks, os.getpid())) as pool:
         return list(pool.map(_forked_task, range(len(tasks))))
 
 

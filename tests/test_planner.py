@@ -1,9 +1,11 @@
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -435,6 +437,55 @@ def test_fork_map_hands_tasks_over_by_fork():
     assert [square for square, _ in out] == [0, 1, 4, 9, 16]
     assert os.getpid() not in {pid for _, pid in out}
     assert multiprocessing.active_children() == []
+
+
+# Maps two sleeping tasks over two forked workers; each task prints its
+# worker's pid before it sleeps.
+SLEEPING_PARENT = """
+import os, time
+from viewplan import planner
+
+def nap(seconds):
+    print(os.getpid(), flush=True)
+    time.sleep(seconds)
+
+planner._fork_map(nap, [(60,), (60,)], 2)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` names a process that has not exited (zombies have)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(2 not in DISPATCHES or not Path("/proc/self/stat").exists(),
+                    reason="needs fork and Linux's PR_SET_PDEATHSIG")
+def test_fork_map_workers_die_with_their_parent():
+    env = dict(os.environ, PYTHONPATH=str(Path(planner_mod.__file__).parents[1]))
+    parent = subprocess.Popen([sys.executable, "-c", SLEEPING_PARENT], env=env,
+                              stdout=subprocess.PIPE, text=True)
+    workers = []
+    try:
+        workers = [int(parent.stdout.readline()) for _ in range(2)]
+        parent.send_signal(signal.SIGTERM)
+        parent.wait(timeout=5)
+        deadline = time.monotonic() + 5
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers))
+    finally:
+        for pid in workers:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        parent.kill()
+        parent.wait()
+        parent.stdout.close()
 
 
 class TestBaselineDispatch:
