@@ -9,10 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy.optimize import minimize
 from scipy.special import ndtr
 
-from .gp import GpModel, _probe_positions
+from .gp import GpModel, _lbfgsb, _probe_positions
 
 __all__ = ["SIGMA_FLOOR", "EiState", "ei_value", "ei_values", "maximize_ei"]
 
@@ -52,23 +51,27 @@ class EiState:
 def ei_values(state: EiState, z) -> np.ndarray:
     """Expected improvement at each row of z; always nonnegative."""
     mean, var = state.model.posterior_batch(z)
-    return _improvement(state.incumbent, mean, var)
+    return _improvement(state.incumbent, mean, var)[0]
 
 
-def _improvement(incumbent: float, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
+def _improvement(incumbent: float, mean: np.ndarray, var: np.ndarray) -> tuple:
+    """EI at each predictive mean and variance, and the terms its gradient reuses.
+
+    Returns (EI, live, sigma, Phi(u), phi(u)): ``live`` marks the deviations
+    above ``SIGMA_FLOOR``, where EI takes its closed form in u = (mean -
+    incumbent) / sigma; the last three hold only those entries. Elsewhere
+    EI is the plain improvement.
+    """
     sigma = np.sqrt(var)
     delta = mean - incumbent
     live = sigma > SIGMA_FLOOR
     out = np.maximum(delta, 0.0)
-    out[live] = _closed_form(delta[live], sigma[live])
-    return out
-
-
-def _closed_form(delta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """EI elementwise at improvements ``delta`` and positive deviations ``sigma``."""
+    delta, sigma = delta[live], sigma[live]
     u = delta / sigma
     phi = _INV_SQRT_2PI * np.exp(-0.5 * u * u)
-    return np.maximum(delta * ndtr(u) + sigma * phi, 0.0)
+    cdf = ndtr(u)
+    out[live] = np.maximum(delta * cdf + sigma * phi, 0.0)
+    return out, live, sigma, cdf, phi
 
 
 def ei_value(state: EiState, z) -> float:
@@ -146,14 +149,9 @@ def _ei_and_grad(state: EiState, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     gradient.
     """
     mean, var, mean_grad, var_grad = state.model._posterior_grad(z)
-    ei = _improvement(state.incumbent, mean, var)
-    delta = mean - state.incumbent
-    sigma = np.sqrt(var)
-    live = sigma > SIGMA_FLOOR
-    grad = mean_grad * (delta > 0.0)[:, None]
-    u = delta[live] / sigma[live]
-    phi = _INV_SQRT_2PI * np.exp(-0.5 * u * u)
-    grad[live] = ndtr(u)[:, None] * mean_grad[live] + (phi / (2.0 * sigma[live]))[:, None] * var_grad[live]
+    ei, live, sigma, cdf, phi = _improvement(state.incumbent, mean, var)
+    grad = mean_grad * (ei > 0.0)[:, None]
+    grad[live] = cdf[:, None] * mean_grad[live] + (phi / (2.0 * sigma))[:, None] * var_grad[live]
     return ei, grad
 
 
@@ -183,7 +181,7 @@ def _pattern_search(state: EiState, budget: int, rng_seed: int) -> tuple[np.ndar
                 break
             x, f, step = xs[active], fs[active], steps[active]
         probes, mean, var = model.coordinate_probes(x, step)
-        pvals = _improvement(state.incumbent, mean, var)
+        pvals = _improvement(state.incumbent, mean, var)[0]
         # A probe clipped back onto its center does not move, whatever its
         # EI rounds to.
         moved = probes.take(_probe_positions(x.shape[0], dim)).reshape(x.shape[0], dim, 2)
@@ -216,10 +214,8 @@ def _polish(state: EiState, xs: np.ndarray) -> np.ndarray:
 
     # EI's scale follows the targets', so no absolute gradient tolerance fits
     # every state: the run stops on its relative decrease or the cap.
-    res = minimize(objective, xs.reshape(-1), jac=True, method="L-BFGS-B",
-                   bounds=[(0.0, 1.0)] * xs.size,
-                   options={"maxiter": _POLISH_ITERS, "gtol": 0.0})
-    polished = res.x.reshape(shape)
+    flat, _ = _lbfgsb(objective, xs.reshape(-1), 0.0, 1.0, maxiter=_POLISH_ITERS, gtol=0.0)
+    polished = flat.reshape(shape)
     before, after = ei_values(state, np.vstack([xs, polished])).reshape(2, -1)
     better = after > before
     best = int(np.argmax(np.where(better, after, before)))

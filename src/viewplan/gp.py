@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.optimize import minimize
+from scipy.optimize._lbfgsb import setulb
 from scipy.spatial.distance import cdist
 
 __all__ = [
@@ -425,13 +425,7 @@ class GpModel:
         y_mean, y_scale = _standardization(y)
         yw = (y - y_mean) / y_scale
 
-        bounds = (
-            [tuple(np.log(_LS_BOUNDS))] * n_ls
-            + [tuple(np.log(_VAR_BOUNDS))]
-            + [tuple(np.log(_NOISE_BOUNDS))]
-        )
-        lo = np.array([b[0] for b in bounds])
-        hi = np.array([b[1] for b in bounds])
+        lo, hi = np.log([_LS_BOUNDS] * n_ls + [_VAR_BOUNDS, _NOISE_BOUNDS]).T
 
         starts = _fit_starts(n_ls, seed, lo, hi)
         mll_and_grad = _likelihood(z, yw, family, n_ls)
@@ -443,16 +437,9 @@ class GpModel:
         candidates = []
         for theta0 in starts:
             # L-BFGS-B evaluates theta0 first and never ends worse than it.
-            res = minimize(
-                objective,
-                theta0,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=bounds,
-                options={"maxiter": 200, "ftol": 1e-12, "gtol": 1e-8},
-            )
-            if math.isfinite(res.fun):
-                candidates.append((-res.fun, res.x))
+            theta, value = _lbfgsb(objective, theta0, lo, hi, maxiter=200, ftol=1e-12, gtol=1e-8)
+            if math.isfinite(value):
+                candidates.append((-value, theta))
         if not candidates:
             raise FactorizationError(_JITTERS[-1])
 
@@ -536,3 +523,45 @@ def _likelihood(z: np.ndarray, yw: np.ndarray, family: str, n_ls: int):
         return mll, grad
 
     return mll_and_grad
+
+
+def _lbfgsb(fun, x0, lo, hi, *, maxiter: int, ftol: float = 2.2204460492503131e-09,
+            gtol: float = 1e-5):
+    """Minimize ``fun`` over the box [lo, hi] by L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995).
+
+    ``fun(x)`` returns the value and the gradient at x and must not change
+    x. ``lo`` and ``hi`` are finite and broadcast to x0's shape. Returns the
+    final x and its value. This is the loop that
+    ``scipy.optimize.minimize(method="L-BFGS-B", jac=True)`` runs around
+    scipy's compiled ``setulb``, with the same inputs at every call and the
+    same stop at ``maxiter``, so it takes the same iterates with the same
+    evaluations, without ``minimize``'s per-evaluation wrapper. Its
+    ``maxfun`` stop (15,000 evaluations) is left out: 20 line-search steps
+    per iteration cannot reach it within any cap used here.
+    """
+    m, maxls, factr = 10, 20, ftol / np.finfo(float).eps
+    x = np.clip(np.asarray(x0, dtype=float).ravel(), lo, hi)
+    n = x.size
+    lower, upper = (np.full(n, b, dtype=float) for b in (lo, hi))
+    nbd = np.full(n, 2, dtype=np.int32)  # bounded on both sides
+    f, g = np.array(0.0), np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task, ln_task, lsave = (np.zeros(k, dtype=np.int32) for k in (2, 2, 4))
+    isave, dsave = np.zeros(44, dtype=np.int32), np.zeros(29)
+    seen = None
+    iterations = 0
+    while True:
+        g = g.astype(np.float64)
+        setulb(m, x, lower, upper, nbd, f, g, factr, gtol, wa, iwa, task, lsave, isave, dsave,
+               maxls, ln_task)
+        if task[0] == 3:  # f and g wanted at x; a repeated x reuses the last answer
+            if seen is None or not np.array_equal(x, seen):
+                seen = x.copy()
+                f, g = fun(seen)
+        elif task[0] == 1:  # a new iteration
+            iterations += 1
+            if iterations >= maxiter:
+                task[:] = 5, 504  # stop: iteration limit
+        else:
+            return x, f

@@ -8,6 +8,7 @@ factorized code paths.
 import math
 
 import numpy as np
+from scipy.optimize import minimize
 
 
 # -- reward ------------------------------------------------------------------
@@ -158,3 +159,30 @@ def central_difference(fn, x0, step=1e-5):
         lo[k] -= step
         grad[k] = (fn(hi) - fn(lo)) / (2.0 * step)
     return grad
+
+
+# -- bounded L-BFGS-B --------------------------------------------------------
+
+
+def assert_lbfgsb_matches_scipy(driver, fun, x0, lo, hi, maxiter, **tols):
+    """Run ``driver`` and scipy's L-BFGS-B side by side on ``fun`` from x0 over [lo, hi].
+
+    ``fun`` returns the value and the gradient. Both runs must ask ``fun``
+    for the same points in the same order and end at the same x and value,
+    compared with ``==``. Returns scipy's result and the number of points
+    the driver asked for.
+    """
+    def recorded(log):
+        def wrapped(x):
+            log.append(x.copy())
+            return fun(x)
+        return wrapped
+
+    ours, theirs = [], []
+    x, f = driver(recorded(ours), x0, lo, hi, maxiter=maxiter, **tols)
+    res = minimize(recorded(theirs), x0, jac=True, method="L-BFGS-B", bounds=list(zip(lo, hi)),
+                   options={"maxiter": maxiter, **tols})
+    assert len(ours) == len(theirs) == res.nfev
+    assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+    assert np.array_equal(x, res.x) and f == res.fun
+    return res, len(ours)

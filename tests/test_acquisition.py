@@ -9,17 +9,19 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
-from oracles import ei_closed_form, ei_monte_carlo
+from oracles import assert_lbfgsb_matches_scipy, ei_closed_form, ei_monte_carlo
 
 import viewplan
 from viewplan import EiState, GpModel, KernelSpec, ei_value, ei_values, maximize_ei
 from viewplan.acquisition import (
     _MAX_ROUNDS,
+    _POLISH_ITERS,
     SIGMA_FLOOR,
     _ei_and_grad,
     _pattern_search,
     _sobol_candidates,
 )
+from viewplan.gp import _lbfgsb
 
 
 def far_field_state(sigma=1.0, incumbent=0.0, train_y=0.0):
@@ -309,6 +311,23 @@ class TestMaximizeEiBits:
         _, var = model.posterior_batch(model.inputs)
         assert np.sqrt(var[0]) <= SIGMA_FLOOR
 
+
+
+@pytest.mark.parametrize(
+    "key", [("matern25", 20), ("ard_rbf", 4), "converging"],
+    ids=lambda key: key if isinstance(key, str) else f"{key[0]}-{key[1]}",
+)
+def test_polish_runs_lbfgsb_as_scipy_does(key):
+    """The polish's L-BFGS-B run, side by side with scipy's, from the searched starts."""
+    state = TestMaximizeEiBits.NAMED[key]() if isinstance(key, str) else pinned_state(*key)
+    xs, _ = _pattern_search(state, 64, 5)
+
+    def objective(flat):
+        ei, grad = _ei_and_grad(state, flat.reshape(xs.shape))
+        return -ei.sum(), -grad.reshape(-1)
+
+    assert_lbfgsb_matches_scipy(_lbfgsb, objective, xs.reshape(-1), np.zeros(xs.size),
+                                np.ones(xs.size), maxiter=_POLISH_ITERS, gtol=0.0)
 
 
 def central_difference(f, z, h=1e-6):

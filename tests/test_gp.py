@@ -5,10 +5,23 @@ import pickle
 import numpy as np
 import pytest
 
-from oracles import central_difference, kernel_value, mll_dense, posterior_dense
+from oracles import (
+    assert_lbfgsb_matches_scipy,
+    central_difference,
+    kernel_value,
+    mll_dense,
+    posterior_dense,
+)
 
-from viewplan import FactorizationError, GpModel, KernelSpec, kernel_matrix
-from viewplan.gp import _LS_BOUNDS, _NOISE_BOUNDS, _VAR_BOUNDS, _fit_starts, _likelihood
+from viewplan import FactorizationError, GpModel, KernelSpec, gp, kernel_matrix
+from viewplan.gp import (
+    _LS_BOUNDS,
+    _NOISE_BOUNDS,
+    _VAR_BOUNDS,
+    _fit_starts,
+    _lbfgsb,
+    _likelihood,
+)
 
 FAMILIES = ("rbf", "ard_rbf", "matern15", "matern25")
 
@@ -489,6 +502,79 @@ class TestLikelihoodBits:
         theta = np.concatenate([ls, [math.log(1.3), math.log(0.01)]])
         value, grad = _likelihood(z, yw, family, n_ls)(theta)
         assert [float(v).hex() for v in [value, *grad]] == self.LIKELIHOOD[family, n, d]
+
+
+def negated(mll_and_grad):
+    """The objective that ``GpModel.fit`` minimizes: the likelihood and its gradient, negated."""
+    def objective(theta):
+        value, grad = mll_and_grad(theta)
+        return -value, -grad
+    return objective
+
+
+class TestLbfgsbDriver:
+    """``gp._lbfgsb`` runs as ``scipy.optimize.minimize(method="L-BFGS-B")`` does.
+
+    Both run in one process on the same objective, so unlike the bit pins
+    these checks hold on any CPU and with any BLAS.
+    """
+
+    # GpModel.fit's settings.
+    FIT = {"maxiter": 200, "ftol": 1e-12, "gtol": 1e-8}
+
+    @staticmethod
+    def fit_problem(family, n, d):
+        """``GpModel.fit``'s objective on ``TestLikelihoodBits.data``, its bounds and starts."""
+        z, y = TestLikelihoodBits.data(n, d)
+        yw = (y - y.mean()) / y.std()
+        n_ls = d if family == "ard_rbf" else 1
+        lo = np.log([_LS_BOUNDS[0]] * n_ls + [_VAR_BOUNDS[0], _NOISE_BOUNDS[0]])
+        hi = np.log([_LS_BOUNDS[1]] * n_ls + [_VAR_BOUNDS[1], _NOISE_BOUNDS[1]])
+        objective = negated(_likelihood(z, yw, family, n_ls))
+        return objective, lo, hi, _fit_starts(n_ls, 5, lo, hi)
+
+    @pytest.mark.parametrize("family, n, d", list(TestLikelihoodBits.FITS))
+    def test_fit_from_every_start(self, family, n, d):
+        objective, lo, hi, starts = self.fit_problem(family, n, d)
+        for theta0 in starts:
+            assert_lbfgsb_matches_scipy(_lbfgsb, objective, theta0, lo, hi, **self.FIT)
+
+    def test_repeated_point_is_not_evaluated_again(self, monkeypatch):
+        objective, lo, hi, starts = self.fit_problem("matern25", 50, 20)
+        asked = []
+        setulb = gp.setulb
+
+        def recording_setulb(*args):
+            setulb(*args)
+            if args[11][0] == 3:  # task: f and g wanted at x
+                asked.append(args[1].copy())
+
+        monkeypatch.setattr(gp, "setulb", recording_setulb)
+        _, calls = assert_lbfgsb_matches_scipy(_lbfgsb, objective, starts[1], lo, hi, **self.FIT)
+        repeats = sum(np.array_equal(a, b) for a, b in zip(asked, asked[1:]))
+        assert repeats > 0 and calls == len(asked) - repeats
+
+    def test_infinite_start(self):
+        # A huge signal variance fails every jitter level (FactorizationError).
+        objective = negated(_likelihood(np.zeros((3, 1)), np.array([-1.0, 0.0, 1.0]), "rbf", 1))
+        theta0 = np.log([1e6, 1e16, 1e-8])
+        assert objective(theta0)[0] == np.inf
+        res, _ = assert_lbfgsb_matches_scipy(_lbfgsb, objective, theta0, theta0 - 1.0,
+                                             theta0 + 1.0, **self.FIT)
+        assert res.fun == np.inf
+
+    def test_stops_at_the_iteration_cap(self):
+        objective, lo, hi, starts = self.fit_problem("matern25", 50, 20)
+        res, _ = assert_lbfgsb_matches_scipy(_lbfgsb, objective, starts[0], lo, hi,
+                                             **{**self.FIT, "maxiter": 3})
+        assert res.nit == 3 and res.status == 1
+
+    def test_start_outside_the_bounds(self):
+        objective, lo, hi, starts = self.fit_problem("ard_rbf", 20, 4)
+        theta0 = starts[0].copy()
+        theta0[0], theta0[-1] = hi[0] + 1.0, lo[-1] - 5.0
+        res, _ = assert_lbfgsb_matches_scipy(_lbfgsb, objective, theta0, lo, hi, **self.FIT)
+        assert np.all((lo <= res.x) & (res.x <= hi))
 
 
 class TestModelBookkeeping:
