@@ -21,7 +21,7 @@ from pathlib import Path
 from . import io as vio
 from .geometry import SearchSpace, decode
 from .gp import KERNEL_FAMILIES
-from .planner import BoConfig, circular_baseline, run_bo, run_experiment
+from .planner import BoConfig, circular_baseline, run_bo, run_experiment, simple_regret
 from .reward import RewardParams
 from .scene import (
     LAYOUTS,
@@ -222,8 +222,9 @@ def _load_config(args) -> dict:
                          f"got {cfg['scene_path']!r}")
     if not isinstance(cfg["out_dir"], str):
         raise ValueError(f"config key 'out_dir' must be a string, got {cfg['out_dir']!r}")
-    for key in ("realizations", "baseline_candidates", "realization_id"):
-        _check_integer(key, cfg[key])
+    for key, least in (("realizations", 1), ("baseline_candidates", 1), ("realization_id", 0)):
+        if _check_integer(key, cfg[key]) < least:
+            raise ValueError(f"config key {key!r} must be at least {least}, got {cfg[key]!r}")
     seed = _check_integer("rng_seed", cfg["bo"]["rng_seed"])
     if cfg["scene"]["rng_seed"] is None:
         cfg["scene"]["rng_seed"] = seed + 1000
@@ -348,8 +349,7 @@ def _out_dir(cfg: dict) -> Path:
 # -- commands ----------------------------------------------------------------
 
 
-def cmd_generate_scene(args) -> int:
-    cfg = _load_config(args)
+def cmd_generate_scene(args, cfg: dict) -> int:
     spec, noise, bo = _typed(cfg)
     cloud, label = _scene_cloud(cfg, spec)
     out = _out_dir(cfg)
@@ -372,62 +372,47 @@ def _noisy_cloud(cfg, spec, noise):
     return apply_noise(cloud, realization), label
 
 
-def cmd_plan(args) -> int:
-    cfg = _load_config(args)
+def _write_result(cfg, spec, noise, bo, name: str, label: str, best_value: float,
+                  placement, **extra) -> Path:
+    """Write ``{name}_{label}.json``, with the command's own keys ``extra``, and print its line.
+
+    Returns the output directory.
+    """
+    out = _out_dir(cfg)
+    regret = simple_regret(best_value)
+    vio.write_json(out / f"{name}_{label}.json", dict(
+        extra, scene=label, best_value=best_value, final_simple_regret=regret,
+        placement=vio.placement_to_dict(placement), config=_echo(cfg, spec, noise, bo),
+    ))
+    print(f"scene={label} best_value={best_value:.6f} final_simple_regret={regret:.6f}")
+    return out
+
+
+def cmd_plan(args, cfg: dict) -> int:
     spec, noise, bo = _typed(cfg)
     noisy, label = _noisy_cloud(cfg, spec, noise)
     trace = run_bo(bo, noisy)
-    out = _out_dir(cfg)
     best_vec = trace.best_input()
-    placement = decode(best_vec, bo.space)
-    payload = {
-        "scene": label,
-        "best_value": trace.best_value(),
-        "final_simple_regret": trace.final_regret(),
-        "incomplete": trace.incomplete,
-        "n_observations": len(trace),
-        "encoded_best": [float(v) for v in best_vec],
-        "placement": vio.placement_to_dict(placement),
-        "config": _echo(cfg, spec, noise, bo),
-    }
-    vio.write_json(out / f"placement_{label}.json", payload)
+    out = _write_result(cfg, spec, noise, bo, "placement", label, trace.best_value(),
+                        decode(best_vec, bo.space), incomplete=trace.incomplete,
+                        n_observations=len(trace), encoded_best=[float(v) for v in best_vec])
     vio.write_trace_csv(out / f"trace_{label}.csv", trace)
-    print(
-        f"scene={label} best_value={trace.best_value():.6f} "
-        f"final_simple_regret={trace.final_regret():.6f}"
-    )
     if trace.incomplete:
         print("warning: run ended early on a numerical failure", file=sys.stderr)
         return 3
     return 0
 
 
-def cmd_baseline(args) -> int:
-    cfg = _load_config(args)
+def cmd_baseline(args, cfg: dict) -> int:
     spec, noise, bo = _typed(cfg)
     noisy, label = _noisy_cloud(cfg, spec, noise)
     result = circular_baseline(bo, noisy, n_candidates=cfg["baseline_candidates"])
-    out = _out_dir(cfg)
-    payload = {
-        "scene": label,
-        "best_value": result.best_value,
-        "final_simple_regret": result.final_regret(),
-        "values": list(result.values),
-        "radii": list(result.radii),
-        "heights": list(result.heights),
-        "placement": vio.placement_to_dict(result.placement),
-        "config": _echo(cfg, spec, noise, bo),
-    }
-    vio.write_json(out / f"baseline_{label}.json", payload)
-    print(
-        f"scene={label} best_value={result.best_value:.6f} "
-        f"final_simple_regret={result.final_regret():.6f}"
-    )
+    _write_result(cfg, spec, noise, bo, "baseline", label, result.best_value, result.placement,
+                  values=list(result.values), radii=list(result.radii), heights=list(result.heights))
     return 0
 
 
-def cmd_experiment(args) -> int:
-    cfg = _load_config(args)
+def cmd_experiment(args, cfg: dict) -> int:
     if cfg["scene_path"]:
         raise ValueError("experiment runs the layouts named by --scenes; drop scene_path")
     typed = [_typed(cfg, layout=layout) for layout in args.scenes]
@@ -504,7 +489,7 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return int(err.code or 0)
     try:
-        return args.func(args)
+        return args.func(args, _load_config(args))
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -62,8 +62,9 @@ class BoConfig:
             raise ValueError("n_iters must be nonnegative")
         if self.kernel not in KERNEL_FAMILIES:
             raise ValueError(f"unknown kernel {self.kernel!r}; choose from {KERNEL_FAMILIES}")
-        if self.af_budget < 1:
-            raise ValueError("af_budget must be at least 1")
+        # The scrambled Sobol' candidates hold at most 2**30 distinct points.
+        if not 1 <= self.af_budget <= 2**30:
+            raise ValueError("af_budget must be between 1 and 2**30")
         if self.refit_every < 0:
             raise ValueError("refit_every must be nonnegative")
 
@@ -165,8 +166,9 @@ def run_bo(config: BoConfig, cloud: PointCloud) -> RegretTrace:
     Hyperparameters are fitted once on the initial design (optionally
     refreshed every ``refit_every`` queries) and frozen in between. A
     factorization failure ends the run early with the trace flagged
-    incomplete rather than raising; a placement that cannot be scored (a
-    camera on a scene point or on the centroid) raises ValueError.
+    incomplete rather than raising, every placement scored so far kept; a
+    placement that cannot be scored (a camera on a scene point or on the
+    centroid) raises ValueError.
     """
     xs, zs, ys = init_design(config, cloud)
     trace = RegretTrace(inputs=list(zs), observed=[float(v) for v in ys], n_init=config.n_init)
@@ -178,24 +180,18 @@ def run_bo(config: BoConfig, cloud: PointCloud) -> RegretTrace:
 
     try:
         model = GpModel.fit(xs, ys, family=config.kernel, seed=fit_seed)
-    except FactorizationError:
-        trace.incomplete = True
-        return trace
-
-    for t in range(config.n_iters):
-        try:
+        for t in range(config.n_iters):
             if config.refit_every and t > 0 and t % config.refit_every == 0:
                 model = GpModel.fit(model.inputs, model.targets, family=config.kernel, seed=fit_seed)
             state = EiState.from_model(model)
             x = maximize_ei(state, budget=config.af_budget, rng_seed=int(af_seeds[t]))
             z = geometry._aimed_encoding(x, config.space, centroid)
             value = noisy_reward(decode(z, config.space), cloud, config.reward_params)
+            trace.inputs.append(z)
+            trace.observed.append(float(value))
             model.add_observation(x, value)
-        except FactorizationError:
-            trace.incomplete = True
-            break
-        trace.inputs.append(z)
-        trace.observed.append(float(value))
+    except FactorizationError:
+        trace.incomplete = True
     return trace
 
 

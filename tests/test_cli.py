@@ -293,9 +293,11 @@ class TestConfig:
             ({"out_dir": None}, "out_dir"),
             ({"scene": {"layout": ["single"]}}, "layout"),
             ({"scene": {"layout": {"a": 1}}}, "layout"),
+            ({"bo": 5}, "bo"),
+            ({"scene": [1]}, "scene"),
         ],
         ids=["path_int", "path_list", "path_bool", "out_int", "out_null", "layout_list",
-             "layout_object"],
+             "layout_object", "section_int", "section_list"],
     )
     def test_wrong_json_type_exits_before_writing(self, tmp_path, tiny_config, capsys,
                                                   monkeypatch, payload, key):
@@ -355,8 +357,12 @@ class TestConfig:
             ("baseline_candidates", None),
             ("realization_id", "0"),
             ("realization_id", False),
+            ("realizations", 0),
+            ("baseline_candidates", 0),
+            ("realization_id", -1),
         ],
-        ids=["list", "float", "string", "bool", "whole_float", "null", "id_string", "id_bool"],
+        ids=["list", "float", "string", "bool", "whole_float", "null", "id_string", "id_bool",
+             "zero_realizations", "zero_candidates", "negative_id"],
     )
     def test_non_integer_config_scalar_exits_before_writing(self, tmp_path, tiny_config,
                                                              capsys, key, value):
@@ -403,6 +409,16 @@ class TestConfig:
         assert run("experiment", "--scenes", "single", "--config", str(cfg),
                    "--out", str(out)) == 1
         assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_af_budget_past_the_sobol_limit_exits_before_writing(self, tmp_path, capsys):
+        # generate-scene builds the BoConfig but never runs the EI search, whose
+        # candidate table at such a budget would need tens of gigabytes.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bo": {"af_budget": 2**30 + 1}}))
+        out = tmp_path / "out"
+        assert run("generate-scene", "--config", str(cfg), "--out", str(out)) == 1
+        assert "af_budget" in capsys.readouterr().err
         assert not out.exists()
 
     def test_vector_of_strings_and_bools_exits_before_writing(self, tmp_path, capsys):

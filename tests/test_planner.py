@@ -55,11 +55,15 @@ class TestBoConfig:
             {"n_cameras": 3, "af_budget": 0},
             {"n_cameras": 3, "refit_every": -2},
             {"n_cameras": 3, "n_init": 1},
+            {"n_cameras": 3, "af_budget": 2**30 + 1},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             BoConfig(**kwargs)
+
+    def test_af_budget_up_to_the_sobol_limit(self):
+        assert BoConfig(n_cameras=2, af_budget=2**30).af_budget == 2**30
 
 
 class TestSimpleRegret:
@@ -221,6 +225,47 @@ class TestRunBo:
         trace = run_bo(SMALL_CFG, SMALL_CLOUD)
         assert trace.incomplete
         assert len(trace) == SMALL_CFG.n_init
+
+    def test_failure_to_add_an_observation_keeps_its_placement(self, monkeypatch):
+        # The 3rd query is scored, then extending the factor with it fails.
+        scored = []
+
+        def recording(*args):
+            scored.append(noisy_reward(*args))
+            return scored[-1]
+
+        added = []
+        add = planner_mod.GpModel.add_observation
+
+        def flaky(self, z, y):
+            added.append(y)
+            if len(added) == 3:
+                raise FactorizationError(1e-4)
+            add(self, z, y)
+
+        monkeypatch.setattr(planner_mod, "noisy_reward", recording)
+        monkeypatch.setattr(planner_mod.GpModel, "add_observation", flaky)
+        cfg = replace(SMALL_CFG, n_iters=5)
+        trace = run_bo(cfg, SMALL_CLOUD)
+        assert trace.incomplete
+        assert len(trace) == cfg.n_init + 3 == len(scored)
+        assert trace.observed[-1] == scored[-1]
+
+    def test_failed_refit_ends_the_run(self, monkeypatch):
+        fits = []
+        fit = planner_mod.GpModel.fit
+
+        def flaky(*args, **kwargs):
+            fits.append(args)
+            if len(fits) == 2:
+                raise FactorizationError(1e-4)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(planner_mod.GpModel, "fit", flaky)
+        cfg = replace(SMALL_CFG, n_iters=5, refit_every=2)
+        trace = run_bo(cfg, SMALL_CLOUD)
+        assert trace.incomplete
+        assert len(trace) == cfg.n_init + 2
 
 
 def noisy_scene(layout, seed, points_per_plant=100):
