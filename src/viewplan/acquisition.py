@@ -86,26 +86,22 @@ def ei_value(state: EiState, z) -> float:
 def _direction_numbers(dim: int) -> np.ndarray:
     """Unscrambled ``(dim, 30)`` direction numbers, column j worth 2**(29 - j).
 
-    The recurrence of Bratley & Fox (1988) over each dimension's primitive
-    polynomial, run for all dimensions at once; the first dimension is all ones.
+    The recurrence of Bratley & Fox (1988), section 2, over each dimension's
+    primitive polynomial of degree m, run as scipy's ``_sobol.pyx`` runs it;
+    the first dimension is all ones.
     """
-    poly = _SOBOL_POLY[1:dim]
-    deg = np.frexp(poly)[1] - 1
-    width = _SOBOL_VINIT.shape[1]
-    v = np.zeros((dim, _SOBOL_BITS), dtype=np.int64)
-    v[0] = 1
-    tail = v[1:]
-    tail[:, :width] = np.where(np.arange(width) < deg[:, None], _SOBOL_VINIT[1:dim], 0)
-    # taps[:, k]: bit deg - 1 - k of the polynomial is set, so that
-    # v[j - k - 1] << (k + 1) enters v[j].
-    taps = (poly[:, None] >> np.maximum(deg[:, None] - 1 - np.arange(width), 0)) & 1 == 1
-    taps &= np.arange(width) < deg[:, None]
-    rows = np.arange(dim - 1)
-    for j in range(1, _SOBOL_BITS):
-        new = tail[rows, np.maximum(j - deg, 0)]
-        for k in range(min(j, width)):
-            new ^= np.where(taps[:, k], tail[:, j - k - 1] << (k + 1), 0)
-        tail[:, j] = np.where(j >= deg, new, tail[:, j])
+    v = np.ones((dim, _SOBOL_BITS), dtype=np.int64)
+    for d in range(1, dim):
+        poly = int(_SOBOL_POLY[d])
+        m = poly.bit_length() - 1
+        row = _SOBOL_VINIT[d, :m].tolist()
+        for j in range(m, _SOBOL_BITS):
+            new = row[j - m]
+            for k in range(m):
+                if (poly >> (m - 1 - k)) & 1:
+                    new ^= row[j - k - 1] << (k + 1)
+            row.append(new)
+        v[d] = row
     v <<= np.arange(_SOBOL_BITS - 1, -1, -1)
     v = v.astype(np.uint32)
     v.flags.writeable = False

@@ -69,7 +69,6 @@ def _plant_points(rng: np.random.Generator, n: int, base_height: float) -> np.nd
         share = remaining // (n_leaves - k)
         counts.append(share)
         remaining -= share
-    counts[-1] += remaining
 
     parts = []
     z = rng.uniform(0.0, height, counts[0])

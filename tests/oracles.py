@@ -5,7 +5,9 @@ linear algebra, deliberately avoiding the library's own vectorized or
 factorized code paths.
 """
 
+import ctypes
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import minimize
@@ -186,3 +188,41 @@ def assert_lbfgsb_matches_scipy(driver, fun, x0, lo, hi, maxiter, **tols):
     assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
     assert np.array_equal(x, res.x) and f == res.fun
     return res, len(ours)
+
+
+# -- platform of the bit pins ------------------------------------------------
+
+
+def _platform():
+    """Whether numpy's X86_V4 target is on, and each bundled OpenBLAS's core, as one line.
+
+    The OpenBLAS libraries are found as ``viewplan/__init__.py`` finds them,
+    and each names its core through the getter that sits beside its
+    thread-count setter; a library that is not there reads ``none``.
+    """
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    from viewplan import _BUNDLED_OPENBLAS
+
+    cores = []
+    for package, pattern, setter in _BUNDLED_OPENBLAS:
+        libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
+        core = "none"
+        for path in sorted(libs.glob(pattern)):
+            try:
+                corename = getattr(ctypes.CDLL(str(path)),
+                                   setter.replace("set_num_threads", "get_corename"))
+            except (OSError, AttributeError):
+                continue
+            corename.restype = ctypes.c_char_p
+            core = corename().decode()
+        cores.append(f"{package.__name__} {core}")
+    v4 = "on" if __cpu_features__.get("X86_V4") else "off"
+    return f"X86_V4 {v4}, OpenBLAS {', '.join(cores)}"
+
+
+# The message of every bit-pin assertion: where the pins were taken, and
+# where this run is.
+PIN_PLATFORM = f"pins taken on X86_V4 on, OpenBLAS SkylakeX; this run: {_platform()}"

@@ -24,6 +24,8 @@ class TestPoint3:
             Point3(0.0, math.nan, 0.0)
         with pytest.raises(ValueError):
             Point3(math.inf, 0.0, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            Point3.from_array([math.inf, 0.0, 0.0])
 
     def test_array_roundtrip(self):
         p = Point3(1.0, -2.0, 3.5)
@@ -76,6 +78,8 @@ class TestPointCloud:
             PointCloud(np.zeros((0, 3)))
         with pytest.raises(ValueError):
             PointCloud(np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="finite"):
+            PointCloud([[math.nan, 0.0, 0.0]])
 
     def test_default_single_plant_range(self):
         cloud = PointCloud(np.zeros((5, 3)))

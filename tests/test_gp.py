@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    PIN_PLATFORM,
     assert_lbfgsb_matches_scipy,
     central_difference,
     kernel_value,
@@ -253,6 +254,10 @@ class TestPosterior:
         model = GpModel(KernelSpec("rbf"), 0.1, [[0.0, 0.0]], [1.0])
         with pytest.raises(ValueError):
             model.posterior_batch([0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="query dimension"):
+            model._posterior_grad([[0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="center dimension"):
+            model.coordinate_probes([[0.0, 0.0, 0.0]], [0.1])
 
 
 class TestFactorization:
@@ -263,13 +268,22 @@ class TestFactorization:
         assert 0.0 < model.jitter <= 1e-4
         assert np.all(np.isfinite(model.posterior_batch([0.0, 0.0])[0]))
 
-    def test_failure_reports_final_jitter(self):
+    def test_failure_reports_final_jitter(self, monkeypatch):
         # huge signal variance swamps every jitter level in float arithmetic
         z = np.zeros((3, 1))
         y = np.zeros(3)
         with pytest.raises(FactorizationError) as err:
             GpModel(KernelSpec("rbf", output_variance=1e16, lengthscales=1e6), 0.0, z, y,
                     standardize=False)
+        assert err.value.jitter == pytest.approx(1e-4)
+
+        # A fit in which no start has a finite likelihood fails the same way.
+        def no_factor(k, eye):
+            raise FactorizationError(1e-4)
+
+        monkeypatch.setattr(gp, "_chol_with_jitter", no_factor)
+        with pytest.raises(FactorizationError) as err:
+            GpModel.fit([[0.0], [0.5], [1.0]], [0.0, 1.0, 0.5], family="rbf")
         assert err.value.jitter == pytest.approx(1e-4)
 
     def test_error_survives_pickling(self):
@@ -491,7 +505,7 @@ class TestLikelihoodBits:
         model = GpModel.fit(z, y, family=family, seed=5)
         got = [*np.atleast_1d(model.kernel.lengthscales), model.kernel.output_variance,
                model.noise_variance]
-        assert [float(v).hex() for v in got] == self.FITS[family, n, d]
+        assert [float(v).hex() for v in got] == self.FITS[family, n, d], PIN_PLATFORM
 
     @pytest.mark.parametrize("family, n, d", list(LIKELIHOOD))
     def test_likelihood(self, family, n, d):
@@ -501,7 +515,8 @@ class TestLikelihoodBits:
         ls = np.linspace(math.log(0.4), math.log(1.5), n_ls)
         theta = np.concatenate([ls, [math.log(1.3), math.log(0.01)]])
         value, grad = _likelihood(z, yw, family, n_ls)(theta)
-        assert [float(v).hex() for v in [value, *grad]] == self.LIKELIHOOD[family, n, d]
+        got = [float(v).hex() for v in [value, *grad]]
+        assert got == self.LIKELIHOOD[family, n, d], PIN_PLATFORM
 
 
 def negated(mll_and_grad):
@@ -606,3 +621,12 @@ class TestModelBookkeeping:
             GpModel(KernelSpec("rbf"), 0.1, [[0.0], [1.0]], [1.0])
         with pytest.raises(ValueError):
             GpModel(KernelSpec("rbf"), 0.1, [[0.0]], [math.nan])
+        with pytest.raises(ValueError, match="at least one observation"):
+            GpModel(KernelSpec("rbf"), 0.1, np.zeros((0, 1)), [])
+        model = GpModel(KernelSpec("rbf"), 0.1, [[0.0], [1.0]], [0.0, 1.0])
+        with pytest.raises(ValueError, match="observation dimension"):
+            model.add_observation([0.5, 0.5], 0.4)
+        with pytest.raises(ValueError, match="target must be finite"):
+            model.add_observation([0.5], math.nan)
+        with pytest.raises(ValueError, match="unknown kernel family"):
+            GpModel.fit([[0.0], [1.0]], [0.0, 1.0], family="cubic")

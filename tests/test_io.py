@@ -77,6 +77,8 @@ class TestPly:
             "ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\n"
             "property double y\nproperty double z\nend_header\n1 2\n",
             "ply\nformat ascii 1.0\ncomment caf\u00e9\nend_header\n",
+            "ply\nformat ascii 1.0\nelement vertex 1\nproperty double a\n"
+            "property double b\nproperty double c\nend_header\n1 2 3\n",
         ],
     )
     def test_rejects_malformed_files(self, tmp_path, text):

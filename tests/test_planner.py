@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 import scipy
 
+from oracles import PIN_PLATFORM
+
 from viewplan import (
     BoConfig,
     FactorizationError,
@@ -324,8 +326,8 @@ class TestEvaluationBits:
         cfg = BoConfig(n_cameras=3, n_init=2, rng_seed=seed)
         xs, zs, ys = init_design(cfg, noisy_scene(layout, seed))
         assert xs.shape == zs.shape == (2, 15)
-        assert [v.hex() for v in zs.ravel()] == self.DESIGN[layout, seed][0]
-        assert [v.hex() for v in ys] == self.DESIGN[layout, seed][1]
+        assert [v.hex() for v in zs.ravel()] == self.DESIGN[layout, seed][0], PIN_PLATFORM
+        assert [v.hex() for v in ys] == self.DESIGN[layout, seed][1], PIN_PLATFORM
 
     # Its centroid is (0, 0, 0.4): a camera at x = y = 0.5 in the default box
     # sits straight above or below it, where the tilt falls back to the x axis.
@@ -357,7 +359,7 @@ class TestEvaluationBits:
     def test_aimed_encoding(self, name):
         vec, expect = self.AIMED[name]
         z = _aimed_encoding(np.array(vec), SearchSpace.default(), self.EDGE_CLOUD.centroid())
-        assert [v.hex() for v in z] == expect
+        assert [v.hex() for v in z] == expect, PIN_PLATFORM
 
     def test_camera_on_the_centroid_raises(self):
         vec = np.tile([0.5, 0.5, 0.0, 0.5, 0.5], 2)
@@ -415,6 +417,21 @@ class TestCircularBaseline:
     def test_candidate_count_validated(self):
         with pytest.raises(ValueError):
             circular_baseline(SMALL_CFG, SMALL_CLOUD, n_candidates=0)
+
+    @pytest.mark.parametrize(
+        "xs, message",
+        [
+            # The cloud spans the default box, so no circle fits around it.
+            ((-2.5, 2.5), "cannot hold"),
+            # Every surrounding circle crosses the wall at x = 2.5.
+            ((2.39, 2.51), "in-box"),
+        ],
+        ids=["fills_the_box", "against_the_wall"],
+    )
+    def test_cloud_the_box_cannot_surround(self, xs, message):
+        cloud = PointCloud([[x, 0.0, 0.5] for x in xs])
+        with pytest.raises(ValueError, match=message):
+            circular_baseline(SMALL_CFG, cloud, n_candidates=3)
 
     def test_rows_track_running_best(self):
         result = circular_baseline(SMALL_CFG, SMALL_CLOUD, n_candidates=6)

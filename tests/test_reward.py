@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import as_cloud, as_placement, random_instance
-from oracles import reward_bruteforce
+from oracles import PIN_PLATFORM, reward_bruteforce
 
 from viewplan import (
     BoConfig,
@@ -402,7 +402,7 @@ class TestRewardBits:
     def test_bits(self, layout, seed, which):
         cloud = pinned_cloud(layout, seed)
         value = reward(pinned_placement(cloud, seed, which), cloud, RewardParams())
-        assert value.hex() == self.PINNED[layout, seed, which]
+        assert value.hex() == self.PINNED[layout, seed, which], PIN_PLATFORM
 
     # grid9 at 5,000 points per plant, scene seed 12.
     DENSE = {
@@ -419,7 +419,7 @@ class TestRewardBits:
     def test_bits_across_blocks(self, dense_cloud, which):
         assert len(dense_cloud) > 2 * reward_module._BLOCK
         value = reward(pinned_placement(dense_cloud, 12, which), dense_cloud, RewardParams())
-        assert value.hex() == self.DENSE[which]
+        assert value.hex() == self.DENSE[which], PIN_PLATFORM
 
     # Every candidate of the circular baseline on the dense cloud, captured
     # at commit 691deee, before the reward built its arrays in place.
@@ -433,7 +433,7 @@ class TestRewardBits:
     def test_baseline_candidates_across_blocks(self, dense_cloud):
         result = circular_baseline(BoConfig(n_cameras=6, rng_seed=12), dense_cloud,
                                    n_candidates=10)
-        assert tuple(value.hex() for value in result.values) == self.DENSE_BASELINE
+        assert tuple(value.hex() for value in result.values) == self.DENSE_BASELINE, PIN_PLATFORM
 
 
 def block_scene(seed):

@@ -50,6 +50,8 @@ class TestGenerateScene:
         cloud = generate_scene(spec)
         assert len(cloud) == 9 * 40
         assert cloud.plant_ranges == tuple((40 * k, 40 * (k + 1)) for k in range(9))
+        # Seed 4 draws 8 leaves for 6 non-stem points, so two leaves get none.
+        assert len(generate_scene(SceneSpec("single", points_per_plant=10, rng_seed=4))) == 10
 
     def test_grid9_centroids_on_lattice(self):
         spacing = 0.8
@@ -182,6 +184,8 @@ class TestApplyNoise:
         cloud = generate_scene(SceneSpec("single", points_per_plant=40, rng_seed=2))
         with pytest.raises(ValueError):
             apply_noise(cloud, NoiseRealization(np.zeros((7, 3)), 0))
+        with pytest.raises(ValueError, match="shape"):
+            NoiseRealization(np.zeros((3, 2)), 0)
 
     def test_opposite_offsets_cancel(self):
         cloud = generate_scene(SceneSpec("single", points_per_plant=40, rng_seed=2))
