@@ -21,44 +21,19 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 import numpy
 import scipy
 
-from .acquisition import EiState, ei_value, ei_values, maximize_ei
-from .geometry import (
-    CameraPose,
-    Placement,
-    Point3,
-    PointCloud,
-    SearchSpace,
-    decode,
-)
-from .gp import (
-    KERNEL_FAMILIES,
-    FactorizationError,
-    GpModel,
-    KernelSpec,
-    kernel_matrix,
-)
-from .planner import (
-    BaselineResult,
-    BoConfig,
-    ExperimentReport,
-    RegretTrace,
-    circular_baseline,
-    init_design,
-    run_bo,
-    run_experiment,
-    simple_regret,
-)
-from .reward import RewardParams, noisy_reward, reward
-from .scene import (
-    DEFAULT_SIGMA,
-    LAYOUTS,
-    NoiseModel,
-    NoiseRealization,
-    SceneSpec,
-    apply_noise,
-    generate_scene,
-    sample_realization,
-)
+# The modules are bound before the star imports, which rebind ``reward`` to
+# the function; the package exports what each module's ``__all__`` lists.
+from . import acquisition, geometry, gp, planner, reward, scene
+
+__all__ = ["__version__", *acquisition.__all__, *geometry.__all__, *gp.__all__,
+           *planner.__all__, *reward.__all__, *scene.__all__]
+
+from .acquisition import *
+from .geometry import *
+from .gp import *
+from .planner import *
+from .reward import *
+from .scene import *
 
 __version__ = "0.1.0"
 
@@ -93,41 +68,3 @@ def _one_blas_thread() -> None:
 
 _one_blas_thread()
 
-__all__ = [
-    "__version__",
-    "apply_noise",
-    "BaselineResult",
-    "BoConfig",
-    "CameraPose",
-    "circular_baseline",
-    "decode",
-    "DEFAULT_SIGMA",
-    "ei_value",
-    "ei_values",
-    "EiState",
-    "ExperimentReport",
-    "FactorizationError",
-    "generate_scene",
-    "GpModel",
-    "init_design",
-    "KERNEL_FAMILIES",
-    "kernel_matrix",
-    "KernelSpec",
-    "LAYOUTS",
-    "maximize_ei",
-    "NoiseModel",
-    "NoiseRealization",
-    "noisy_reward",
-    "Placement",
-    "Point3",
-    "PointCloud",
-    "RegretTrace",
-    "reward",
-    "RewardParams",
-    "run_bo",
-    "run_experiment",
-    "sample_realization",
-    "SceneSpec",
-    "SearchSpace",
-    "simple_regret",
-]

@@ -13,7 +13,7 @@ from scipy.special import ndtr
 
 from .gp import GpModel, _lbfgsb, _probe_positions
 
-__all__ = ["SIGMA_FLOOR", "EiState", "ei_value", "ei_values", "maximize_ei"]
+__all__ = ["EiState", "ei_value", "ei_values", "maximize_ei"]
 
 # Below this predictive standard deviation EI degenerates to plain improvement.
 SIGMA_FLOOR = 1e-12

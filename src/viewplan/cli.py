@@ -19,7 +19,7 @@ import typing
 from pathlib import Path
 
 from . import io as vio
-from .geometry import SearchSpace, decode
+from .geometry import PointCloud, SearchSpace, decode
 from .gp import KERNEL_FAMILIES
 from .planner import BoConfig, circular_baseline, run_bo, run_experiment, simple_regret
 from .reward import RewardParams
@@ -83,11 +83,13 @@ class _Parser(argparse.ArgumentParser):
 def _resolved(names, known, aliases) -> list:
     """``names``, a nonempty list of names from ``known``, with ``aliases`` resolved.
 
-    Raises ValueError for anything else.
+    Raises ValueError for anything else, a name given twice included.
     """
     if isinstance(names, list) and all(isinstance(n, str) for n in names):
         out = [aliases.get(n, n) for n in names]
         if out and all(n in known for n in out):
+            if len(set(out)) < len(out):
+                raise ValueError(f"each name may be given once; got {names!r}")
             return out
     raise ValueError(f"expected {', '.join([*known, *aliases])}; got {names!r}")
 
@@ -334,7 +336,13 @@ def _scene_cloud(cfg: dict, spec: SceneSpec):
                     raise ValueError(
                         f"{sidecar}: plant_ranges must be a list of [start, stop] pairs"
                     ) from None
-            return vio.read_ply(path, ranges), Path(path).stem
+            cloud = vio.read_ply(path)
+            if ranges:
+                try:
+                    cloud = PointCloud(cloud.points, ranges)
+                except ValueError as err:
+                    raise ValueError(f"{sidecar}: {err}") from None
+            return cloud, Path(path).stem
         except ValueError as err:
             raise _FileFormatError(str(err)) from None
     return generate_scene(spec), spec.layout
@@ -418,8 +426,7 @@ def cmd_experiment(args, cfg: dict) -> int:
     typed = [_typed(cfg, layout=layout) for layout in args.scenes]
     out = _out_dir(cfg)
 
-    exit_code = 0
-    all_failed = True
+    finished = 0
     for spec, noise, bo in typed:
         cloud, label = _scene_cloud(cfg, spec)
         report = run_experiment(
@@ -466,8 +473,7 @@ def cmd_experiment(args, cfg: dict) -> int:
         summary["config"]["bo"]["n_cameras"] = cfg["bo"]["n_cameras"]
         vio.write_json(out / f"{label}_summary.json", summary)
         done = len(report.traces) + len(report.baselines)
-        if done > 0:
-            all_failed = False
+        finished += done
         print(
             f"scene={label} cells={done}/{report.n_cells()} "
             f"baseline_mean_regret={report.baseline_mean_regret():.6f}"
@@ -476,10 +482,10 @@ def cmd_experiment(args, cfg: dict) -> int:
             curve = report.mean_bo_regrets(kernel)
             final = curve[-1] if curve.size else float("nan")
             print(f"  {kernel}: mean_final_regret={final:.6f}")
-    if all_failed:
+    if not finished:
         print("error: every experiment cell failed", file=sys.stderr)
-        exit_code = 3
-    return exit_code
+        return 3
+    return 0
 
 
 def main(argv=None) -> int:

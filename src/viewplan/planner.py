@@ -22,7 +22,6 @@ from .reward import RewardParams, noisy_reward
 from .scene import NoiseModel, sample_realization, apply_noise
 
 __all__ = [
-    "OPTIMUM_VALUE",
     "BoConfig",
     "RegretTrace",
     "BaselineResult",
@@ -410,7 +409,8 @@ def run_experiment(
     fails on bad input or a numerical failure (``ValueError``,
     ``FactorizationError``) only annotates the report with its error and
     traceback. Any other exception propagates, cancels the cells not yet
-    started and returns once every worker has exited.
+    started and returns once every worker has exited. A repeated kernel
+    raises ValueError before any cell runs.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be at least 1")
@@ -420,6 +420,8 @@ def run_experiment(
         n_realizations=n_realizations,
         n_iters=base_config.n_iters,
     )
+    if len(set(report.kernels)) < len(report.kernels):
+        raise ValueError(f"kernels must not repeat, got {report.kernels!r}")
 
     noisy_clouds = {
         rid: apply_noise(scene_cloud, sample_realization(noise_model, scene_cloud, rid))
@@ -427,28 +429,28 @@ def run_experiment(
     }
     master = base_config.rng_seed
 
-    # (label, where the result goes, its key, (function, arguments))
-    cells = []
+    # (method, realization) -> (function, arguments); method is a kernel or "baseline".
+    cells = {}
     for kernel_idx, kernel in enumerate(report.kernels):
         for rid in range(n_realizations):
-            seed = _cell_seed(master, (1, kernel_idx, rid))
-            cfg = replace(base_config, kernel=kernel, rng_seed=seed)
-            cells.append((f"{kernel}/r{rid}", report.traces, (kernel, rid),
-                          (run_bo, (cfg, noisy_clouds[rid]))))
+            cfg = replace(base_config, kernel=kernel,
+                          rng_seed=_cell_seed(master, (1, kernel_idx, rid)))
+            cells[kernel, rid] = run_bo, (cfg, noisy_clouds[rid])
     for rid in range(n_realizations):
         cfg = replace(base_config, rng_seed=_cell_seed(master, (2, rid)))
-        cells.append((f"baseline/r{rid}", report.baselines, rid,
-                      (circular_baseline, (cfg, noisy_clouds[rid], n_baseline))))
-    labels, targets, keys, tasks = zip(*cells)
+        cells["baseline", rid] = circular_baseline, (cfg, noisy_clouds[rid], n_baseline)
 
-    outcomes = _fork_map(_run_cell, tasks, _workers(len(tasks)))
+    outcomes = _fork_map(_run_cell, list(cells.values()), _workers(len(cells)))
 
-    for label, target, key, (result, error, tb) in zip(labels, targets, keys, outcomes):
+    for (method, rid), (result, error, tb) in zip(cells, outcomes):
+        label = f"{method}/r{rid}"
         if error is not None:
             report.errors[label] = error
             report.tracebacks[label] = tb
-            continue
-        target[key] = result
-        if isinstance(result, RegretTrace) and result.incomplete:
-            report.errors[label] = "incomplete: surrogate factorization failed"
+        elif method == "baseline":
+            report.baselines[rid] = result
+        else:
+            report.traces[method, rid] = result
+            if result.incomplete:
+                report.errors[label] = "incomplete: surrogate factorization failed"
     return report

@@ -2,7 +2,17 @@
 
 import numpy as np
 
-from viewplan import CameraPose, Placement, Point3, PointCloud
+from viewplan import (
+    CameraPose,
+    NoiseModel,
+    Placement,
+    Point3,
+    PointCloud,
+    SceneSpec,
+    apply_noise,
+    generate_scene,
+    sample_realization,
+)
 
 
 def random_instance(rng, n_cams, n_points, aimed_fraction=0.5):
@@ -39,3 +49,9 @@ def as_placement(positions, axes):
 
 def as_cloud(points):
     return PointCloud(np.asarray(points, dtype=float))
+
+
+def noisy_scene(layout, seed, points_per_plant):
+    """Realization 0 of a seeded scene, noise seeded with ``seed + 1``."""
+    clean = generate_scene(SceneSpec(layout=layout, points_per_plant=points_per_plant, rng_seed=seed))
+    return apply_noise(clean, sample_realization(NoiseModel(rng_seed=seed + 1), clean, 0))

@@ -334,8 +334,8 @@ class TestConfig:
         assert summary["config"]["kernels"] == ["ard_rbf"]
         assert summary["config"]["bo"]["kernel"] == "ard_rbf"
 
-    @pytest.mark.parametrize("kernels", [["spline"], "rbf", []],
-                             ids=["unknown", "not_a_list", "empty"])
+    @pytest.mark.parametrize("kernels", [["spline"], "rbf", [], ["matern25", "matern25"]],
+                             ids=["unknown", "not_a_list", "empty", "repeated"])
     def test_bad_config_kernels_exit_before_writing(self, tmp_path, tiny_config, capsys,
                                                     kernels):
         cfg = tmp_path / "cfg.json"
@@ -344,6 +344,19 @@ class TestConfig:
         assert run("experiment", "--scenes", "single", "--config", str(cfg),
                    "--out", str(out)) == 1
         assert "'kernels'" in capsys.readouterr().err
+        assert not out.exists()
+
+    # A repeat, after aliases resolve, would run its cells twice (kernels) or
+    # overwrite the first run's files (scenes).
+    @pytest.mark.parametrize("flag, names", [
+        ("--kernels", "rbf,rbf"), ("--kernels", "ard,ard_rbf"), ("--scenes", "single,single"),
+    ], ids=["kernel", "kernel_alias", "scene"])
+    def test_repeated_flag_names_exit_before_writing(self, tmp_path, tiny_config, capsys,
+                                                     flag, names):
+        out = tmp_path / "out"
+        argv = ["experiment", "--smoke", "--scenes", "single", "--config", tiny_config]
+        assert run(*argv, flag, names, "--out", str(out)) == 1
+        assert f"argument {flag}: each name may be given once" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -669,6 +682,12 @@ class TestExitCodes:
         "vertex-count": (PLY_HEADER.format("abc") + "1 2 3\n", None, ".ply"),
         "coordinate": (PLY_HEADER.format(2) + "1 2 3\n4 zz 6\n", None, ".ply"),
         "sidecar-not-json": (PLY_HEADER.format(2) + "1 2 3\n4 5 6\n", "{oops", ".json"),
+        "ranges-short": (PLY_HEADER.format(2) + "1 2 3\n4 5 6\n",
+                         '{"plant_ranges": [[0, 1]]}', ".json"),
+        "ranges-long": (PLY_HEADER.format(2) + "1 2 3\n4 5 6\n",
+                        '{"plant_ranges": [[0, 3]]}', ".json"),
+        "ranges-gap": (PLY_HEADER.format(2) + "1 2 3\n4 5 6\n",
+                       '{"plant_ranges": [[0, 1], [2, 2]]}', ".json"),
     }
 
     @pytest.mark.parametrize("name", list(UNPARSABLE_SCENES))

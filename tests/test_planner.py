@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy
 
+from conftest import noisy_scene
 from oracles import PIN_PLATFORM
 
 from viewplan import (
@@ -270,12 +271,6 @@ class TestRunBo:
         assert len(trace) == cfg.n_init + 2
 
 
-def noisy_scene(layout, seed, points_per_plant=100):
-    """Realization 0 of a seeded scene, noise seeded with ``seed + 1``."""
-    clean = generate_scene(SceneSpec(layout=layout, points_per_plant=points_per_plant, rng_seed=seed))
-    return apply_noise(clean, sample_realization(NoiseModel(rng_seed=seed + 1), clean, 0))
-
-
 class TestEvaluationBits:
     """Exact ``float.hex()`` of the design and of aimed encodings.
 
@@ -324,7 +319,7 @@ class TestEvaluationBits:
     @pytest.mark.parametrize("layout, seed", list(DESIGN), ids=[k[0] for k in DESIGN])
     def test_design(self, layout, seed):
         cfg = BoConfig(n_cameras=3, n_init=2, rng_seed=seed)
-        xs, zs, ys = init_design(cfg, noisy_scene(layout, seed))
+        xs, zs, ys = init_design(cfg, noisy_scene(layout, seed, points_per_plant=100))
         assert xs.shape == zs.shape == (2, 15)
         assert [v.hex() for v in zs.ravel()] == self.DESIGN[layout, seed][0], PIN_PLATFORM
         assert [v.hex() for v in ys] == self.DESIGN[layout, seed][1], PIN_PLATFORM
@@ -501,14 +496,14 @@ def test_fork_map_hands_tasks_over_by_fork():
     assert multiprocessing.active_children() == []
 
 
-# Maps two sleeping tasks over two forked workers; each task prints its
-# worker's pid before it sleeps.
+# Maps two sleeping tasks over two forked workers; each task writes its
+# worker's pid before it sleeps, in one write so the two lines cannot mix.
 SLEEPING_PARENT = """
 import os, time
 from viewplan import planner
 
 def nap(seconds):
-    print(os.getpid(), flush=True)
+    os.write(1, b"%d\\n" % os.getpid())
     time.sleep(seconds)
 
 planner._fork_map(nap, [(60,), (60,)], 2)
@@ -783,6 +778,16 @@ class TestRunExperiment:
             tiny_experiment(n_realizations=0)
         with pytest.raises(ValueError):
             tiny_experiment(kernels=("rbf", "spline"))
+
+    def test_repeated_kernel_is_rejected_before_any_cell_runs(self, monkeypatch):
+        # Each cell is keyed by its kernel, so a repeat would run twice and keep one.
+        def broken(*args, **kwargs):
+            raise TypeError("a cell ran")
+
+        monkeypatch.setattr(planner_mod, "run_bo", broken)
+        monkeypatch.setattr(planner_mod, "circular_baseline", broken)
+        with pytest.raises(ValueError, match="kernels must not repeat"):
+            tiny_experiment(kernels=("rbf", "matern15", "rbf"))
 
 
 class TestWorkerBlasThreads:

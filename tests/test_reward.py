@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import as_cloud, as_placement, random_instance
+from conftest import as_cloud, as_placement, noisy_scene, random_instance
 from oracles import PIN_PLATFORM, reward_bruteforce
 
 from viewplan import (
@@ -360,12 +360,6 @@ class TestNoisyReward:
             assert 0.0 <= v <= 1.0
 
 
-def pinned_cloud(layout, seed, points_per_plant=200):
-    """Realization 0 of a seeded scene, noise seeded with ``seed + 1``."""
-    clean = generate_scene(SceneSpec(layout, points_per_plant=points_per_plant, rng_seed=seed))
-    return apply_noise(clean, sample_realization(NoiseModel(rng_seed=seed + 1), clean, 0))
-
-
 def pinned_placement(cloud, seed, which):
     """The circular baseline's winner, or an integer-seeded uniform decode."""
     if which == "baseline":
@@ -400,7 +394,7 @@ class TestRewardBits:
     @pytest.mark.parametrize("layout, seed, which", list(PINNED),
                              ids=[f"{layout}-{which}" for layout, _, which in PINNED])
     def test_bits(self, layout, seed, which):
-        cloud = pinned_cloud(layout, seed)
+        cloud = noisy_scene(layout, seed, points_per_plant=200)
         value = reward(pinned_placement(cloud, seed, which), cloud, RewardParams())
         assert value.hex() == self.PINNED[layout, seed, which], PIN_PLATFORM
 
@@ -413,7 +407,7 @@ class TestRewardBits:
 
     @pytest.fixture(scope="class")
     def dense_cloud(self):
-        return pinned_cloud("grid9", 12, points_per_plant=5000)
+        return noisy_scene("grid9", 12, points_per_plant=5000)
 
     @pytest.mark.parametrize("which", list(DENSE))
     def test_bits_across_blocks(self, dense_cloud, which):
