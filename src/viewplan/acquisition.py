@@ -9,8 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy.special import ndtr
 
+from ._compiled import ndtr
 from .gp import GpModel, _lbfgsb, _probe_positions
 
 __all__ = ["EiState", "ei_value", "ei_values", "maximize_ei"]

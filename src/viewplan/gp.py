@@ -17,10 +17,8 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.optimize._lbfgsb import setulb
-from scipy.spatial.distance import cdist
+
+from ._compiled import cdist_sqeuclidean, cho_solve, dpotrf, dpotrs, setulb, solve_triangular
 
 __all__ = [
     "KERNEL_FAMILIES",
@@ -139,7 +137,7 @@ def kernel_matrix(spec: KernelSpec, a, b=None) -> np.ndarray:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = a if b is None else np.atleast_2d(np.asarray(b, dtype=float))
     ls = spec.lengthscale_vector(a.shape[1])
-    d2 = cdist(a / ls, b / ls, metric="sqeuclidean")
+    d2 = cdist_sqeuclidean(a / ls, b / ls)
     return _kernel_of_sqdist(spec.family, spec.output_variance, d2)
 
 
@@ -221,8 +219,8 @@ class GpModel:
         self._chol, self.jitter = _chol_with_jitter(k, eye)
         # One triangular inverse per factorization turns every posterior
         # query's triangular solve into a single matrix product.
-        self._chol_inv = solve_triangular(self._chol, eye, lower=True)
-        self._alpha = cho_solve((self._chol, True), self._y_working)
+        self._chol_inv = solve_triangular(self._chol, eye)
+        self._alpha = cho_solve(self._chol, self._y_working)
 
     def _extend_factor(self, k_new: np.ndarray) -> bool:
         """Grow the factor and its inverse by the newest input in O(n^2).
@@ -232,7 +230,7 @@ class GpModel:
         nothing, when the new pivot is not positive.
         """
         n = k_new.shape[0]
-        row = solve_triangular(self._chol, k_new, lower=True)
+        row = solve_triangular(self._chol, k_new)
         pivot_sq = self.kernel.output_variance + self.noise_variance + self.jitter - float(row @ row)
         if not pivot_sq > 0.0:
             return False
@@ -246,7 +244,7 @@ class GpModel:
         inv[n, :n] = -(row @ self._chol_inv) / pivot
         inv[n, n] = 1.0 / pivot
         self._chol, self._chol_inv = chol, inv
-        self._alpha = cho_solve((self._chol, True), self._y_working)
+        self._alpha = cho_solve(self._chol, self._y_working)
         self._scale_inputs()
         return True
 
@@ -292,7 +290,7 @@ class GpModel:
         if zq.shape[1] != self.dim:
             raise ValueError("query dimension does not match training inputs")
         if _sqdist is None:
-            d2 = cdist(zq / self._ls, self._zs, metric="sqeuclidean")
+            d2 = cdist_sqeuclidean(zq / self._ls, self._zs)
         else:
             d2 = _sqdist
         ks = _kernel_of_sqdist(self.kernel.family, self.kernel.output_variance, d2)
@@ -322,7 +320,7 @@ class GpModel:
         if zq.shape[1] != self.dim:
             raise ValueError("query dimension does not match training inputs")
         family, out_var = self.kernel.family, self.kernel.output_variance
-        d2 = np.maximum(cdist(zq / self._ls, self._zs, metric="sqeuclidean"), 0.0)
+        d2 = np.maximum(cdist_sqeuclidean(zq / self._ls, self._zs), 0.0)
         ks = _kernel_of_sqdist(family, out_var, d2.copy())
         mean, var, v = self._predict(ks)
         g = functools.reduce(np.multiply, _slope_factors(family, out_var, d2, ks))
@@ -372,7 +370,7 @@ class GpModel:
         grid = d2.reshape(n_c, dim, 2, self.n_train)
         np.subtract((w + u)[..., None], self._two_zt, out=grid)
         grid *= (w - u)[..., None]
-        grid += cdist(xs, self._zs, metric="sqeuclidean")[:, None, None, :]
+        grid += cdist_sqeuclidean(xs, self._zs)[:, None, None, :]
         mean, var = self.posterior_batch(rows, _sqdist=d2)
         return rows, mean, var
 
@@ -389,6 +387,8 @@ class GpModel:
         zq = np.asarray(z, dtype=float).reshape(1, -1)
         if zq.shape[1] != self.dim:
             raise ValueError("observation dimension does not match training inputs")
+        if not np.all(np.isfinite(zq)):
+            raise ValueError("observation input must be finite")
         if not math.isfinite(float(y)):
             raise ValueError("target must be finite")
         k_new = kernel_matrix(self.kernel, self._z, zq)[:, 0]
@@ -498,7 +498,7 @@ def _likelihood(z: np.ndarray, yw: np.ndarray, family: str, n_ls: int):
         noise_var = float(np.exp(theta[n_ls + 1]))
 
         zs = z / ls
-        d2 = np.maximum(cdist(zs, zs, metric="sqeuclidean"), 0.0)
+        d2 = np.maximum(cdist_sqeuclidean(zs, zs), 0.0)
         kf = _kernel_of_sqdist(family, out_var, d2.copy())
 
         k = kf + noise_var * eye

@@ -48,8 +48,8 @@ def write_ply(path: PathLike, cloud: PointCloud) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def read_ply(path: PathLike, plant_ranges=None) -> PointCloud:
-    """Parse the ASCII PLY layout produced by :func:`write_ply`."""
+def read_ply(path: PathLike) -> PointCloud:
+    """Parse the ASCII PLY layout produced by :func:`write_ply`, as one plant range."""
     try:
         text = Path(path).read_text(encoding="ascii")
     except UnicodeDecodeError as err:
@@ -88,7 +88,7 @@ def read_ply(path: PathLike, plant_ranges=None) -> PointCloud:
         raise ValueError(f"{path}: expected {n} vertex rows, found {len(body)}")
     try:
         pts = np.array([[float(v) for v in ln.split()[:3]] for ln in body])
-        return PointCloud(pts, plant_ranges)
+        return PointCloud(pts)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
 

@@ -599,6 +599,15 @@ class TestModelBookkeeping:
         assert model.n_train == 3
         assert model.targets[-1] == 0.4
 
+    # An infinite coordinate is at infinite distance from every training
+    # input, so its covariances are all 0 and only this check catches it.
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_add_observation_rejects_non_finite_input(self, value):
+        model = GpModel(KernelSpec("rbf"), 0.01, [[0.0, 0.0], [1.0, 1.0]], [0.0, 1.0])
+        with pytest.raises(ValueError, match="observation input must be finite"):
+            model.add_observation([value, 0.5], 0.4)
+        assert model.n_train == 2
+
     def test_standardization_tracks_appended_targets(self):
         model = GpModel(KernelSpec("rbf"), 0.01, [[0.0], [1.0]], [0.0, 2.0])
         model.add_observation([0.5], 100.0)
