@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,11 +30,10 @@ _MAX_ROUNDS = 60
 _POLISH_ITERS = 100
 
 # Scrambled Sobol' candidates: the Joe-Kuo direction numbers that
-# scipy.stats.qmc.Sobol reads, loaded once so forked workers share them.
+# scipy.stats.qmc.Sobol reads, from the table that ships with scipy.
 _SOBOL_BITS = 30
-with np.load(Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz") as _table:
-    _SOBOL_POLY = _table["poly"]
-    _SOBOL_VINIT = _table["vinit"]
+_SOBOL_TABLE = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
+_SOBOL_DTYPE = np.dtype("<i8")
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,66 @@ def ei_value(state: EiState, z) -> float:
     return float(ei_values(state, np.asarray(z, dtype=float).reshape(1, -1))[0])
 
 
+def _table_error(member: str, problem: str) -> ImportError:
+    return ImportError(f"scipy's Sobol' table {_SOBOL_TABLE}: {member}: {problem}")
+
+
+def _read_header(f, member: str, ndim: int) -> tuple:
+    """The shape in the ``.npy`` header of ``member``, open as ``f``, which is left at its data.
+
+    The member must hold little-endian int64 in ``ndim`` axes, in Fortran
+    order if it has two.
+    """
+    try:
+        version = np.lib.format.read_magic(f)
+        if version != (1, 0):
+            raise _table_error(member, f".npy format {version}, expected (1, 0)")
+        shape, fortran, dtype = np.lib.format.read_array_header_1_0(f)
+    except ValueError as err:
+        raise _table_error(member, str(err)) from None
+    if len(shape) != ndim or dtype != _SOBOL_DTYPE or (ndim == 2 and not fortran):
+        expected = f"{ndim}-D <i8" + (" in Fortran order" if ndim == 2 else "")
+        raise _table_error(member, f"shape {shape}, dtype {dtype.str}, fortran_order {fortran}; "
+                                   f"expected {expected}")
+    return shape
+
+
+def _read_values(f, member: str, count: int) -> np.ndarray:
+    data = f.read(count * _SOBOL_DTYPE.itemsize)
+    if len(data) != count * _SOBOL_DTYPE.itemsize:
+        raise _table_error(member, "the member ends before its header's shape")
+    return np.frombuffer(data, _SOBOL_DTYPE)
+
+
+def _joe_kuo(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``dim`` primitive polynomials of the table and their initial direction numbers.
+
+    Reads only what they use of ``poly.npy`` (n,) and ``vinit.npy`` (n, 18),
+    both deflated in the npz: polynomial d of degree m uses ``vinit[d, :m]``,
+    and ``vinit`` is stored in Fortran order, so the first ``dim`` rows of
+    its first m columns, m the largest degree, are ``dim`` values read at
+    the start of each column. The stream is decompressed only up to the last
+    value read. Raises ValueError for ``dim`` beyond the table's n rows, and
+    ImportError, naming the member, for a table in another layout.
+    """
+    with (zipfile.ZipFile(_SOBOL_TABLE) as archive, archive.open("poly.npy") as poly_file,
+          archive.open("vinit.npy") as vinit_file):
+        (rows,) = _read_header(poly_file, "poly.npy", 1)
+        vinit_rows, _ = _read_header(vinit_file, "vinit.npy", 2)
+        if vinit_rows != rows:
+            raise _table_error("vinit.npy", f"{vinit_rows} rows, against {rows} in poly.npy")
+        if dim > rows:
+            raise ValueError(f"Maximum supported dimensionality is {rows}.")
+        polys = _read_values(poly_file, "poly.npy", dim)
+        degree = int(polys.max(initial=1)).bit_length() - 1
+        vinit = np.empty((dim, degree), dtype=np.int64)
+        start = vinit_file.tell()
+        for j in range(degree):
+            vinit_file.seek(start + j * rows * _SOBOL_DTYPE.itemsize)
+            vinit[:, j] = _read_values(vinit_file, "vinit.npy", dim)
+    return polys, vinit
+
+
 @functools.lru_cache(maxsize=None)
 def _direction_numbers(dim: int) -> np.ndarray:
     """Unscrambled ``(dim, 30)`` direction numbers, column j worth 2**(29 - j).
@@ -90,11 +150,12 @@ def _direction_numbers(dim: int) -> np.ndarray:
     primitive polynomial of degree m, run as scipy's ``_sobol.pyx`` runs it;
     the first dimension is all ones.
     """
+    polys, vinit = _joe_kuo(dim)
     v = np.ones((dim, _SOBOL_BITS), dtype=np.int64)
     for d in range(1, dim):
-        poly = int(_SOBOL_POLY[d])
+        poly = int(polys[d])
         m = poly.bit_length() - 1
-        row = _SOBOL_VINIT[d, :m].tolist()
+        row = vinit[d, :m].tolist()
         for j in range(m, _SOBOL_BITS):
             new = row[j - m]
             for k in range(m):
@@ -116,15 +177,14 @@ def _sobol_candidates(dim: int, budget: int, rng_seed: int) -> np.ndarray:
     triangular (LMS) matrices drawn in scipy's order, applied to the Joe-Kuo
     direction numbers, points taken in Gray-code order (Owen 1998).
     """
-    if dim > _SOBOL_POLY.size:
-        raise ValueError(f"Maximum supported dimensionality is {_SOBOL_POLY.size}.")
+    direction = _direction_numbers(dim)
     rng = np.random.default_rng(rng_seed)
     high_first = np.uint32(1) << np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
     shift = rng.integers(0, 2, (dim, _SOBOL_BITS), dtype=np.uint32) @ high_first[::-1]
     lms = np.tril(rng.integers(0, 2, (dim, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
     lms[:, np.arange(_SOBOL_BITS), np.arange(_SOBOL_BITS)] = 1
     # Scrambled bit p (from the top) of direction number j: parity of row p & v_j.
-    masked = (lms @ high_first)[:, None, :] & _direction_numbers(dim)[:, :, None]
+    masked = (lms @ high_first)[:, None, :] & direction[:, :, None]
     for s in (16, 8, 4, 2, 1):
         masked ^= masked >> s
     scrambled = (masked & 1) @ high_first

@@ -1,8 +1,11 @@
+import io
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -18,12 +21,13 @@ from oracles import (
 )
 
 import viewplan
-from viewplan import EiState, GpModel, KernelSpec, ei_value, ei_values, maximize_ei
+from viewplan import EiState, GpModel, KernelSpec, acquisition, ei_value, ei_values, maximize_ei
 from viewplan.acquisition import (
     _MAX_ROUNDS,
     _POLISH_ITERS,
     SIGMA_FLOOR,
     _ei_and_grad,
+    _joe_kuo,
     _pattern_search,
     _sobol_candidates,
 )
@@ -519,7 +523,9 @@ class TestEiBits:
 class TestSobolCandidates:
     """The candidate set equals scipy's scrambled Sobol' sequence byte for byte."""
 
-    @pytest.mark.parametrize("dim", [1, 2, 10, 15, 20, 25, 30, 60])
+    # Every dimension up to 40 covers each one that reads one more column of
+    # the table's initial direction numbers (2, 3, 4, 6, 8, 14, 20 and 38).
+    @pytest.mark.parametrize("dim", [*range(1, 41), 60, 300])
     @pytest.mark.parametrize("seed", [0, 7, 2**40])
     def test_matches_scipy(self, dim, seed):
         for budget in (1, 2, 3, 100, 2048, 2049):
@@ -534,6 +540,58 @@ class TestSobolCandidates:
         _sobol_candidates(21201, 1, 0)
         with pytest.raises(ValueError, match="21201"):
             _sobol_candidates(21202, 1, 0)
+
+
+def _npy(array: np.ndarray, version=None) -> bytes:
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, array, version=version)
+    return buffer.getvalue()
+
+
+# A six-dimension direction-number table in scipy's layout (polynomial
+# degrees up to 4), then the same table with one member changed.
+TABLE_POLY = np.array([1, 3, 7, 11, 13, 19], dtype=np.int64)
+TABLE_VINIT = np.asfortranarray(np.arange(1, 6 * 18 + 1, dtype=np.int64).reshape(6, 18))
+TABLE = {"poly.npy": _npy(TABLE_POLY), "vinit.npy": _npy(TABLE_VINIT)}
+TABLE_FAULTS = {
+    "vinit_c_ordered": ("vinit.npy", _npy(np.ascontiguousarray(TABLE_VINIT)), "fortran_order False"),
+    "poly_int32": ("poly.npy", _npy(TABLE_POLY.astype(np.int32)), "dtype <i4"),
+    "poly_2d": ("poly.npy", _npy(TABLE_POLY[:, None]), r"shape \(6, 1\)"),
+    "vinit_5_rows": ("vinit.npy", _npy(np.asfortranarray(TABLE_VINIT[:5])), "5 rows, against 6"),
+    "poly_truncated": ("poly.npy", TABLE["poly.npy"][:-8], "ends before"),
+    # Cut after 3 of its 18 columns: a read of all 6 rows uses 4.
+    "vinit_truncated": ("vinit.npy", TABLE["vinit.npy"][: -8 * 6 * 15], "ends before"),
+    "poly_header_truncated": ("poly.npy", TABLE["poly.npy"][:20], "EOF"),
+    "poly_format_2": ("poly.npy", _npy(TABLE_POLY, version=(2, 0)), r"format \(2, 0\)"),
+}
+
+
+class TestSobolTable:
+    """The direction numbers are read from the table's members one slice at a time."""
+
+    @staticmethod
+    def write(path: Path, members: dict) -> None:
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
+            for name, data in members.items():
+                archive.writestr(name, data)
+
+    def test_reads_the_first_rows_of_the_used_columns(self, tmp_path, monkeypatch):
+        self.write(tmp_path / "table.npz", TABLE)
+        monkeypatch.setattr(acquisition, "_SOBOL_TABLE", tmp_path / "table.npz")
+        for dim, degree in ((1, 0), (2, 1), (4, 3), (6, 4)):
+            poly, vinit = _joe_kuo(dim)
+            assert poly.tolist() == TABLE_POLY[:dim].tolist()
+            assert vinit.tolist() == TABLE_VINIT[:dim, :degree].tolist()
+        with pytest.raises(ValueError, match="Maximum supported dimensionality is 6"):
+            _joe_kuo(7)
+
+    @pytest.mark.parametrize("member, data, problem", TABLE_FAULTS.values(), ids=TABLE_FAULTS)
+    def test_other_layout_is_named(self, tmp_path, monkeypatch, member, data, problem):
+        path = tmp_path / "table.npz"
+        self.write(path, {**TABLE, member: data})
+        monkeypatch.setattr(acquisition, "_SOBOL_TABLE", path)
+        with pytest.raises(ImportError, match=rf"{re.escape(str(path))}: {member}: .*{problem}"):
+            _joe_kuo(6)
 
 
 @pytest.mark.parametrize("module", ["viewplan", "viewplan.cli"])

@@ -56,6 +56,30 @@ def test_commands_import_no_scipy_subpackage(tmp_path):
     assert (tmp_path / "single_report.csv").is_file()
 
 
+# scipy's Sobol' table holds 21,201 dimensions and a search uses at most a
+# few dozen, so no command start reads it and a search keeps only its rows.
+TABLE_SCRIPT = """
+import numpy as np
+import viewplan.cli
+from viewplan import acquisition
+
+def whole_table():
+    return [name for name, value in vars(acquisition).items()
+            if isinstance(value, np.ndarray) and value.ndim and len(value) >= 21201]
+
+print(acquisition._direction_numbers.cache_info().currsize, whole_table())
+acquisition._sobol_candidates(20, 2048, 0)
+print(acquisition._direction_numbers.cache_info().currsize, whole_table())
+"""
+
+
+def test_import_reads_no_sobol_table():
+    env = {**os.environ, "PYTHONPATH": str(Path(viewplan.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", TABLE_SCRIPT], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.splitlines() == ["0 []", "1 []"]
+
+
 def test_compiled_routines_are_scipys_own():
     """Imported after viewplan, scipy's packages expose the very objects viewplan loaded.
 
