@@ -34,7 +34,8 @@ def _load(package: str, name: str):
         if path.is_file():
             break
     else:
-        raise ImportError(f"scipy's compiled module {dotted} is not in {folder}", name=dotted)
+        raise ImportError(f"scipy's compiled module {dotted} is not in {folder} (scipy "
+                          f"{scipy.__version__}; viewplan needs scipy>=1.15)", name=dotted)
     spec = importlib.util.spec_from_file_location(dotted, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

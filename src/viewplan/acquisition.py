@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from ._compiled import ndtr
-from .gp import GpModel, _lbfgsb, _probe_positions
+from ._compiled import cdist_sqeuclidean, ndtr
+from .gp import GpModel, _lbfgsb
 
 __all__ = ["EiState", "ei_value", "ei_values", "maximize_ei"]
 
@@ -28,6 +28,8 @@ _STEP_INIT = 0.05
 _STEP_MIN = 1e-4
 _MAX_ROUNDS = 60
 _POLISH_ITERS = 100
+# A coordinate probe moves its center up, then down, by the step.
+_SIGNS = np.array([1.0, -1.0])
 
 # Scrambled Sobol' candidates: the Joe-Kuo direction numbers that
 # scipy.stats.qmc.Sobol reads, from the table that ships with scipy.
@@ -211,6 +213,67 @@ def _ei_and_grad(state: EiState, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return ei, grad
 
 
+@functools.lru_cache(maxsize=64)
+def _probe_positions(n_centers: int, dim: int) -> np.ndarray:
+    """Flat indices of the moved coordinates in :func:`_coordinate_probes`' rows.
+
+    Row r = 2 (c dim + j) + k moves coordinate j of center c.
+    """
+    r = np.arange(n_centers * dim * 2)
+    positions = r * dim + (r // 2) % dim
+    positions.flags.writeable = False
+    return positions
+
+
+def _coordinate_probes(model: GpModel):
+    """The probes of a coordinate search over ``model`` and their posterior, as a function.
+
+    For each row x of ``centers`` and its entry s of ``steps`` the probes
+    are x with coordinate j moved up by s and then down by s, clipped to
+    [0, 1], for j = 0, ..., dim - 1. The function returns (probes, moved,
+    means, variances), probes stacked as rows in that order and ``moved[c,
+    j, k]`` their moved coordinates. The values equal
+    ``model.posterior_batch(probes)`` up to rounding, but each probe's
+    distances to the training inputs are updated from its center's in O(n)
+    rather than recomputed in O(n dim). What depends only on the training
+    inputs is computed here, once per search, so a call scales the centers
+    once, writes the moved coordinates into copies of the centers at cached
+    flat positions, and fills the distance grid with three broadcasts.
+    """
+    ls = model.kernel.lengthscale_vector(model.dim)
+    z = model.inputs
+    zs = z / ls
+    two_zt = (np.ascontiguousarray(z.T) * (2.0 / ls)[:, None])[:, None, :]
+    n = z.shape[0]
+
+    def probe(centers, steps) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        x = np.atleast_2d(np.asarray(centers, dtype=float))
+        if x.shape[1] != model.dim:
+            raise ValueError("center dimension does not match training inputs")
+        n_c, dim = x.shape
+        s = np.asarray(steps, dtype=float).reshape(n_c, 1, 1)
+        moved = x[:, :, None] + s * _SIGNS  # (n_c, dim, 2)
+        np.maximum(moved, 0.0, out=moved)
+        np.minimum(moved, 1.0, out=moved)
+        rows = np.repeat(x, 2 * dim, axis=0)
+        rows.put(_probe_positions(n_c, dim), moved)
+
+        # Only coordinate j changes, so a probe's squared distance is its
+        # center's plus (w - u)(w + u - 2 t) in scaled coordinates.
+        xs = x / ls
+        u = xs[:, :, None]
+        w = moved / ls[:, None]
+        d2 = np.empty((n_c * dim * 2, n))
+        grid = d2.reshape(n_c, dim, 2, n)
+        np.subtract((w + u)[..., None], two_zt, out=grid)
+        grid *= (w - u)[..., None]
+        grid += cdist_sqeuclidean(xs, zs)[:, None, None, :]
+        mean, var = model.posterior_batch(rows, _sqdist=d2)
+        return rows, moved, mean, var
+
+    return probe
+
+
 def _pattern_search(state: EiState, budget: int, rng_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The starts of :func:`maximize_ei` after its pattern search, and their EI."""
     model = state.model
@@ -225,6 +288,7 @@ def _pattern_search(state: EiState, budget: int, rng_seed: int) -> tuple[np.ndar
     fs = vals[order].copy()
     steps = np.full(xs.shape[0], _STEP_INIT)
     width = 2 * dim
+    probe = _coordinate_probes(model)
 
     for _ in range(_MAX_ROUNDS):
         live = steps >= _STEP_MIN
@@ -236,11 +300,10 @@ def _pattern_search(state: EiState, budget: int, rng_seed: int) -> tuple[np.ndar
             if active.size == 0:
                 break
             x, f, step = xs[active], fs[active], steps[active]
-        probes, mean, var = model.coordinate_probes(x, step)
+        probes, moved, mean, var = probe(x, step)
         pvals = _improvement(state.incumbent, mean, var)[0]
         # A probe clipped back onto its center does not move, whatever its
         # EI rounds to.
-        moved = probes.take(_probe_positions(x.shape[0], dim)).reshape(x.shape[0], dim, 2)
         pvals[(moved == x[:, :, None]).reshape(-1)] = -np.inf
         # Flat index of each start's best probe: its row in probes.
         best_probe = np.arange(0, pvals.size, width) + np.argmax(pvals.reshape(-1, width), axis=1)
@@ -286,7 +349,7 @@ def maximize_ei(state: EiState, budget: int = 2048, rng_seed: int = 0) -> np.nda
     ``_N_REFINE`` candidates, halving a start's step from ``_STEP_INIT``
     until it falls below ``_STEP_MIN`` or ``_MAX_ROUNDS`` rounds have run.
     A round scores every active start's 2d probes in one
-    :meth:`GpModel.coordinate_probes` call; a probe whose clipped coordinate
+    :func:`_coordinate_probes` call; a probe whose clipped coordinate
     equals its center's is never a move. While every start is active the
     round works on the start arrays in place, and a start that improves
     takes its best probe's row by index. One bounded L-BFGS-B run of at

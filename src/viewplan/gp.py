@@ -33,8 +33,6 @@ KERNEL_FAMILIES = ("rbf", "ard_rbf", "matern15", "matern25")
 _SQRT3 = math.sqrt(3.0)
 _SQRT5 = math.sqrt(5.0)
 _JITTERS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
-# A coordinate probe moves its center up, then down, by the step.
-_SIGNS = np.array([1.0, -1.0])
 
 # Bounds for likelihood fitting, assuming unit-cube inputs and
 # standardized outputs.
@@ -199,17 +197,9 @@ class GpModel:
     # -- factorization ---------------------------------------------------
 
     def _scale_inputs(self) -> None:
-        """Cache what posterior queries need of the training inputs.
-
-        The lengthscale vector, the scaled inputs ``z / ls`` and
-        ``2 z^T / ls`` laid out (dim, 1, n) for the probe broadcast of
-        :meth:`coordinate_probes`. Fixed between factorizations.
-        """
-        ls = self.kernel.lengthscale_vector(self.dim)
-        self._ls = ls
-        self._zs = self._z / ls
-        two_t = np.ascontiguousarray(self._z.T) * (2.0 / ls)[:, None]
-        self._two_zt = two_t[:, None, :]
+        """Cache the lengthscale vector and the scaled inputs ``z / ls``."""
+        self._ls = self.kernel.lengthscale_vector(self.dim)
+        self._zs = self._z / self._ls
 
     def _refactor(self) -> None:
         self._scale_inputs()
@@ -270,21 +260,13 @@ class GpModel:
     def n_train(self) -> int:
         return int(self._z.shape[0])
 
-    @property
-    def y_mean(self) -> float:
-        return self._y_mean
-
-    @property
-    def y_scale(self) -> float:
-        return self._y_scale
-
     # -- inference -------------------------------------------------------
 
     def posterior_batch(self, z, *, _sqdist=None) -> tuple[np.ndarray, np.ndarray]:
         """Predictive means and variances (original target scale) at rows of z.
 
-        ``_sqdist`` is for :meth:`coordinate_probes`: the scaled squared
-        distances from the rows of z to the training inputs, overwritten.
+        ``_sqdist`` is for ``acquisition._coordinate_probes``: the scaled
+        squared distances from the rows of z to the training inputs, overwritten.
         """
         zq = np.atleast_2d(np.asarray(z, dtype=float))
         if zq.shape[1] != self.dim:
@@ -334,45 +316,6 @@ class GpModel:
         mean_grad = gradient(self._y_scale * self._alpha)
         var_grad = gradient(-2.0 * self._y_scale**2 * (v @ self._chol_inv))
         return mean, var, mean_grad, var_grad
-
-    def coordinate_probes(self, centers, steps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Probes of a coordinate search and their posterior.
-
-        For each row x of ``centers`` and its entry s of ``steps`` the probes
-        are x with coordinate j moved up by s and then down by s, clipped to
-        [0, 1], for j = 0, ..., dim - 1. Returns (probes, means, variances),
-        probes stacked as rows in that order. The values equal
-        ``posterior_batch(probes)`` up to rounding, but each probe's
-        distances to the training inputs are updated from its center's in
-        O(n) rather than recomputed in O(n dim). What depends only on the
-        training inputs is cached per factorization (:meth:`_scale_inputs`),
-        so a call scales the centers once, writes the moved coordinates into
-        copies of the centers at cached flat positions, and fills the
-        distance grid with three broadcasts.
-        """
-        x = np.atleast_2d(np.asarray(centers, dtype=float))
-        if x.shape[1] != self.dim:
-            raise ValueError("center dimension does not match training inputs")
-        n_c, dim = x.shape
-        s = np.asarray(steps, dtype=float).reshape(n_c, 1, 1)
-        moved = x[:, :, None] + s * _SIGNS  # (n_c, dim, 2)
-        np.maximum(moved, 0.0, out=moved)
-        np.minimum(moved, 1.0, out=moved)
-        rows = np.repeat(x, 2 * dim, axis=0)
-        rows.put(_probe_positions(n_c, dim), moved)
-
-        # Only coordinate j changes, so a probe's squared distance is its
-        # center's plus (w - u)(w + u - 2 t) in scaled coordinates.
-        xs = x / self._ls
-        u = xs[:, :, None]
-        w = moved / self._ls[:, None]
-        d2 = np.empty((n_c * dim * 2, self.n_train))
-        grid = d2.reshape(n_c, dim, 2, self.n_train)
-        np.subtract((w + u)[..., None], self._two_zt, out=grid)
-        grid *= (w - u)[..., None]
-        grid += cdist_sqeuclidean(xs, self._zs)[:, None, None, :]
-        mean, var = self.posterior_batch(rows, _sqdist=d2)
-        return rows, mean, var
 
     def add_observation(self, z, y: float) -> None:
         """Append one observation and extend the factorization.
@@ -451,18 +394,6 @@ class GpModel:
             ls if n_ls > 1 else float(ls[0]),
         )
         return cls(spec, float(np.exp(best_theta[n_ls + 1])), z, y)
-
-
-@functools.lru_cache(maxsize=64)
-def _probe_positions(n_centers: int, dim: int) -> np.ndarray:
-    """Flat indices of the moved coordinates in :meth:`GpModel.coordinate_probes`' rows.
-
-    Row r = 2 (c dim + j) + k moves coordinate j of center c.
-    """
-    r = np.arange(n_centers * dim * 2)
-    positions = r * dim + (r // 2) % dim
-    positions.flags.writeable = False
-    return positions
 
 
 def _fit_starts(n_ls: int, seed, lo: np.ndarray, hi: np.ndarray):

@@ -409,11 +409,14 @@ def run_experiment(
     fails on bad input or a numerical failure (``ValueError``,
     ``FactorizationError``) only annotates the report with its error and
     traceback. Any other exception propagates, cancels the cells not yet
-    started and returns once every worker has exited. A repeated kernel
-    raises ValueError before any cell runs.
+    started and returns once every worker has exited. A repeated kernel, or
+    ``n_realizations`` or ``n_baseline`` below 1, raises ValueError before
+    any cell runs.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be at least 1")
+    if n_baseline < 1:
+        raise ValueError("n_baseline must be at least 1")
     report = ExperimentReport(
         scene_label=scene_label,
         kernels=tuple(kernels),

@@ -26,6 +26,7 @@ from viewplan.acquisition import (
     _MAX_ROUNDS,
     _POLISH_ITERS,
     SIGMA_FLOOR,
+    _coordinate_probes,
     _ei_and_grad,
     _joe_kuo,
     _pattern_search,
@@ -294,13 +295,18 @@ class TestMaximizeEiBits:
     def test_converging_state_runs_rounds_with_some_starts_settled(self, monkeypatch):
         state = converging_state()
         sizes = []
-        original = state.model.coordinate_probes
+        original = acquisition._coordinate_probes
 
-        def record(centers, steps):
-            sizes.append(len(centers))
-            return original(centers, steps)
+        def record(model):
+            probe = original(model)
 
-        monkeypatch.setattr(state.model, "coordinate_probes", record)
+            def recorded(centers, steps):
+                sizes.append(len(centers))
+                return probe(centers, steps)
+
+            return recorded
+
+        monkeypatch.setattr(acquisition, "_coordinate_probes", record)
         maximize_ei(state, budget=64, rng_seed=5)
         assert len(sizes) < _MAX_ROUNDS
         assert any(0 < size < sizes[0] for size in sizes)
@@ -376,6 +382,41 @@ class TestEiGradient:
         assert ei[0] == ei_value(state, z) > 0.0
         fd = central_difference(lambda q: ei_values(state, q[None])[0], z, step=1e-6)
         np.testing.assert_allclose(grad[0], fd, atol=1e-8)
+
+
+class TestCoordinateProbes:
+    """The probes of the pattern search in ``maximize_ei`` and their posterior."""
+
+    @pytest.mark.parametrize("family", ["rbf", "ard_rbf", "matern15", "matern25"])
+    def test_coordinate_probes_match_plain_batch(self, family):
+        rng = np.random.default_rng(17)
+        d = 8
+        z = rng.uniform(0, 1, (40, d))
+        y = rng.normal(size=40)
+        ls = rng.uniform(0.3, 1.5, d) if family == "ard_rbf" else 0.7
+        model = GpModel(KernelSpec(family, 1.2, ls), 1e-3, z, y)
+        centers = rng.uniform(0, 1, (3, d))
+        centers[0, 2] = 1.0  # the upward probe of coordinate 2 is clipped back onto the center
+        centers[1, 5] = 0.0  # the downward probe of coordinate 5 is clipped back onto the center
+        steps = np.array([0.3, 0.05, 1e-4])
+        probes, moved, mean, var = _coordinate_probes(model)(centers, steps)
+        assert probes.shape == (3 * 2 * d, d)
+        assert moved.shape == (3, d, 2)
+        for c in range(3):
+            for j in range(d):
+                for s, sign in enumerate((1.0, -1.0)):
+                    want = centers[c].copy()
+                    want[j] = min(1.0, max(0.0, want[j] + sign * steps[c]))
+                    assert np.array_equal(probes[(c * d + j) * 2 + s], want)
+                    assert moved[c, j, s] == want[j]
+        want_mean, want_var = model.posterior_batch(probes)
+        np.testing.assert_allclose(mean, want_mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(var, want_var, rtol=0, atol=1e-12)
+
+    def test_center_dimension_checked(self):
+        model = GpModel(KernelSpec("rbf"), 0.1, [[0.0, 0.0]], [1.0])
+        with pytest.raises(ValueError, match="center dimension"):
+            _coordinate_probes(model)([[0.0, 0.0, 0.0]], [0.1])
 
 
 class TestEiBits:
@@ -509,7 +550,8 @@ class TestEiBits:
             batch = np.vstack([model.inputs[:1], rng.uniform(0, 1, (5, model.dim))])
         else:
             batch = rng.uniform(0, 1, (6, model.dim))
-        _, mean, var = model.coordinate_probes(rng.uniform(0, 1, (2, model.dim)), [0.05, 0.0125])
+        probe = _coordinate_probes(model)
+        _, _, mean, var = probe(rng.uniform(0, 1, (2, model.dim)), [0.05, 0.0125])
         got = {
             "ei": ei_values(state, batch),
             "mean": mean,

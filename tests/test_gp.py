@@ -32,7 +32,7 @@ def model_mll(model):
     ls = np.atleast_1d(model.kernel.lengthscales)
     with np.errstate(divide="ignore"):  # a noise-free model has log noise -inf
         theta = np.log([*ls, model.kernel.output_variance, model.noise_variance])
-    yw = (model.targets - model.y_mean) / model.y_scale
+    yw = (model.targets - model._y_mean) / model._y_scale
     return _likelihood(model.inputs, yw, model.kernel.family, ls.size)(theta)[0]
 
 
@@ -183,29 +183,6 @@ class TestPosterior:
             assert means[k] == pytest.approx(mean, abs=1e-14)
             assert variances[k] == pytest.approx(var, abs=1e-14)
 
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_coordinate_probes_match_plain_batch(self, family):
-        rng = np.random.default_rng(17)
-        d = 8
-        z = rng.uniform(0, 1, (40, d))
-        y = rng.normal(size=40)
-        ls = rng.uniform(0.3, 1.5, d) if family == "ard_rbf" else 0.7
-        model = GpModel(KernelSpec(family, 1.2, ls), 1e-3, z, y)
-        centers = rng.uniform(0, 1, (3, d))
-        centers[0, 2] = 1.0  # the upward probe of coordinate 2 is clipped back onto the center
-        steps = np.array([0.3, 0.05, 1e-4])
-        probes, mean, var = model.coordinate_probes(centers, steps)
-        assert probes.shape == (3 * 2 * d, d)
-        for c in range(3):
-            for j in range(d):
-                for s, sign in enumerate((1.0, -1.0)):
-                    want = centers[c].copy()
-                    want[j] = min(1.0, max(0.0, want[j] + sign * steps[c]))
-                    assert np.array_equal(probes[(c * d + j) * 2 + s], want)
-        want_mean, want_var = model.posterior_batch(probes)
-        np.testing.assert_allclose(mean, want_mean, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(var, want_var, rtol=0, atol=1e-12)
-
     def test_variance_never_negative(self):
         rng = np.random.default_rng(9)
         z = rng.uniform(0, 1, (30, 2))
@@ -256,8 +233,6 @@ class TestPosterior:
             model.posterior_batch([0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="query dimension"):
             model._posterior_grad([[0.0, 0.0, 0.0]])
-        with pytest.raises(ValueError, match="center dimension"):
-            model.coordinate_probes([[0.0, 0.0, 0.0]], [0.1])
 
 
 class TestFactorization:
@@ -309,7 +284,7 @@ class TestFit:
         for family in FAMILIES:
             model = GpModel.fit(z, y, family=family, seed=3)
             fitted_mll = model_mll(model)
-            yw = (y - model.y_mean) / model.y_scale
+            yw = (y - model._y_mean) / model._y_scale
             n_ls = 2 if family == "ard_rbf" else 1
             lo = np.log([_LS_BOUNDS[0]] * n_ls + [_VAR_BOUNDS[0], _NOISE_BOUNDS[0]])
             hi = np.log([_LS_BOUNDS[1]] * n_ls + [_VAR_BOUNDS[1], _NOISE_BOUNDS[1]])
@@ -367,7 +342,7 @@ class TestFit:
         hi = np.log([_LS_BOUNDS[1], _VAR_BOUNDS[1], _NOISE_BOUNDS[1]])
         interior = np.all(theta > lo + 1e-3) and np.all(theta < hi - 1e-3)
         assert interior, "expected an interior optimum for this dataset"
-        yw = (y - model.y_mean) / model.y_scale
+        yw = (y - model._y_mean) / model._y_scale
         fd = central_difference(lambda th: _likelihood(z, yw, "matern25", 1)(th)[0], theta)
         assert np.linalg.norm(fd) <= 1e-4
 
@@ -612,16 +587,16 @@ class TestModelBookkeeping:
         model = GpModel(KernelSpec("rbf"), 0.01, [[0.0], [1.0]], [0.0, 2.0])
         model.add_observation([0.5], 100.0)
         y = np.array([0.0, 2.0, 100.0])
-        assert model.y_mean == y.mean()
-        assert model.y_scale == y.std()
+        assert model._y_mean == y.mean()
+        assert model._y_scale == y.std()
 
     def test_standardization_off_stays_identity(self):
         model = GpModel(
             KernelSpec("rbf"), 0.01, [[0.0], [1.0]], [0.0, 2.0], standardize=False
         )
         model.add_observation([0.5], 100.0)
-        assert model.y_mean == 0.0
-        assert model.y_scale == 1.0
+        assert model._y_mean == 0.0
+        assert model._y_scale == 1.0
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy
 
 import viewplan
 from viewplan import _compiled
@@ -101,5 +102,7 @@ def test_compiled_routines_are_scipys_own():
 
 
 def test_missing_compiled_module_is_named():
-    with pytest.raises(ImportError, match=r"scipy\.linalg\._no_such_module"):
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._no_such_module") as err:
         _compiled._load("linalg", "_no_such_module")
+    assert f"scipy {scipy.__version__};" in str(err.value)
+    assert "scipy>=1.15" in str(err.value)

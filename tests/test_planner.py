@@ -788,6 +788,9 @@ class TestRunExperiment:
         monkeypatch.setattr(planner_mod, "circular_baseline", broken)
         with pytest.raises(ValueError, match="kernels must not repeat"):
             tiny_experiment(kernels=("rbf", "matern15", "rbf"))
+        # With no candidates every baseline cell would fail, not the call.
+        with pytest.raises(ValueError, match="n_baseline must be at least 1"):
+            tiny_experiment(kernels=("rbf",), n_baseline=0)
 
 
 class TestWorkerBlasThreads:
