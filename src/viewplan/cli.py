@@ -19,7 +19,7 @@ import typing
 from pathlib import Path
 
 from . import io as vio
-from .geometry import PointCloud, SearchSpace, decode
+from .geometry import SearchSpace, decode
 from .gp import KERNEL_FAMILIES
 from .planner import BoConfig, circular_baseline, run_bo, run_experiment, simple_regret
 from .reward import RewardParams
@@ -68,10 +68,6 @@ _DEFAULTS = {
     "realization_id": 0,
     "out_dir": "out",
 }
-
-
-class _FileFormatError(Exception):
-    """A file exists but cannot be used (bad PLY/JSON payload)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **_FLAGS[flag])
         return p
 
-    command("generate-scene", cmd_generate_scene, "write a procedural scene to PLY + JSON",
-            "--scene")
+    p_gen = command("generate-scene", cmd_generate_scene, "write a procedural scene to PLY + JSON")
+    p_gen.add_argument("--scene", dest="layout_or_ply", choices=LAYOUTS, help="layout name")
     p_plan = command(
         "plan", cmd_plan, "optimize a camera placement on one noisy cloud",
         "--scene", "--cameras", "--init", "--iters", "--noise-sigma", "--candidates", "--smoke",
@@ -228,10 +224,12 @@ def _load_config(args) -> dict:
         if _check_integer(key, cfg[key]) < least:
             raise ValueError(f"config key {key!r} must be at least {least}, got {cfg[key]!r}")
     seed = _check_integer("rng_seed", cfg["bo"]["rng_seed"])
-    if cfg["scene"]["rng_seed"] is None:
-        cfg["scene"]["rng_seed"] = seed + 1000
-    if cfg["noise"]["rng_seed"] is None:
-        cfg["noise"]["rng_seed"] = seed + 2000
+    for section, offset in (("bo", 0), ("scene", 1000), ("noise", 2000)):
+        if cfg[section]["rng_seed"] is None:
+            cfg[section]["rng_seed"] = seed + offset
+        if _check_integer("rng_seed", cfg[section]["rng_seed"]) < 0:
+            raise ValueError(f"config key 'rng_seed' in section {section!r} must be at least 0, "
+                             f"got {cfg[section]['rng_seed']!r}")
     return cfg
 
 
@@ -318,36 +316,6 @@ def _echo(cfg: dict, spec: SceneSpec, noise: NoiseModel, bo: BoConfig) -> dict:
     return {**sections, **{key: cfg[key] for key in _DEFAULTS if key not in sections}}
 
 
-def _scene_cloud(cfg: dict, spec: SceneSpec):
-    """(cloud, label): procedural unless a .ply path was configured."""
-    path = cfg.get("scene_path")
-    if path:
-        try:
-            sidecar = Path(path).with_suffix(".json")
-            ranges = None
-            if sidecar.exists():
-                try:
-                    meta = vio.read_json(sidecar)
-                except ValueError as err:
-                    raise ValueError(f"{sidecar}: not valid JSON: {err}") from None
-                try:
-                    ranges = [(int(a), int(b)) for a, b in meta.get("plant_ranges", [])] or None
-                except (AttributeError, TypeError, ValueError, OverflowError):
-                    raise ValueError(
-                        f"{sidecar}: plant_ranges must be a list of [start, stop] pairs"
-                    ) from None
-            cloud = vio.read_ply(path)
-            if ranges:
-                try:
-                    cloud = PointCloud(cloud.points, ranges)
-                except ValueError as err:
-                    raise ValueError(f"{sidecar}: {err}") from None
-            return cloud, Path(path).stem
-        except ValueError as err:
-            raise _FileFormatError(str(err)) from None
-    return generate_scene(spec), spec.layout
-
-
 def _out_dir(cfg: dict) -> Path:
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -358,26 +326,23 @@ def _out_dir(cfg: dict) -> Path:
 
 
 def cmd_generate_scene(args, cfg: dict) -> int:
+    if cfg["scene_path"]:
+        raise ValueError(f"generate-scene writes a layout ({'|'.join(LAYOUTS)}), not a scene "
+                         f"file; got scene_path {cfg['scene_path']!r}")
     spec, noise, bo = _typed(cfg)
-    cloud, label = _scene_cloud(cfg, spec)
-    out = _out_dir(cfg)
-    ply_path = out / f"scene_{label}.ply"
-    vio.write_ply(ply_path, cloud)
-    sidecar = {
-        "layout": spec.layout,
-        "n_points": len(cloud),
-        "plant_ranges": [list(r) for r in cloud.plant_ranges],
-        "config": _echo(cfg, spec, noise, bo),
-    }
-    vio.write_json(ply_path.with_suffix(".json"), sidecar)
+    cloud = generate_scene(spec)
+    ply_path = _out_dir(cfg) / f"scene_{spec.layout}.ply"
+    vio.write_scene(ply_path, cloud, layout=spec.layout, config=_echo(cfg, spec, noise, bo))
     print(f"wrote {ply_path} ({len(cloud)} points) and {ply_path.with_suffix('.json')}")
     return 0
 
 
 def _noisy_cloud(cfg, spec, noise):
-    cloud, label = _scene_cloud(cfg, spec)
+    """(noisy cloud, label): procedural unless a .ply path was configured."""
+    path = cfg["scene_path"]
+    cloud = vio.read_scene(path) if path else generate_scene(spec)
     realization = sample_realization(noise, cloud, cfg["realization_id"])
-    return apply_noise(cloud, realization), label
+    return apply_noise(cloud, realization), Path(path).stem if path else spec.layout
 
 
 def _write_result(cfg, spec, noise, bo, name: str, label: str, best_value: float,
@@ -428,20 +393,19 @@ def cmd_experiment(args, cfg: dict) -> int:
 
     finished = 0
     for spec, noise, bo in typed:
-        cloud, label = _scene_cloud(cfg, spec)
         report = run_experiment(
-            cloud,
+            generate_scene(spec),
             noise,
             bo,
             kernels=tuple(cfg["kernels"]),
             n_realizations=cfg["realizations"],
             n_baseline=cfg["baseline_candidates"],
-            scene_label=label,
+            scene_label=spec.layout,
         )
-        vio.write_report_csv(out / f"{label}_report.csv", report)
-        vio.write_mean_regret_csv(out / f"{label}_mean_regret.csv", report)
+        vio.write_report_csv(out / f"{spec.layout}_report.csv", report)
+        vio.write_mean_regret_csv(out / f"{spec.layout}_mean_regret.csv", report)
         summary = {
-            "scene": label,
+            "scene": spec.layout,
             "kernels": list(report.kernels),
             "realizations": report.n_realizations,
             "baseline_mean_regret": report.baseline_mean_regret(),
@@ -471,11 +435,11 @@ def cmd_experiment(args, cfg: dict) -> int:
         # any scene's echo repeats every scene of the run.
         summary["config"]["scene"]["points_per_plant"] = cfg["scene"]["points_per_plant"]
         summary["config"]["bo"]["n_cameras"] = cfg["bo"]["n_cameras"]
-        vio.write_json(out / f"{label}_summary.json", summary)
+        vio.write_json(out / f"{spec.layout}_summary.json", summary)
         done = len(report.traces) + len(report.baselines)
         finished += done
         print(
-            f"scene={label} cells={done}/{report.n_cells()} "
+            f"scene={spec.layout} cells={done}/{report.n_cells()} "
             f"baseline_mean_regret={report.baseline_mean_regret():.6f}"
         )
         for kernel in report.kernels:
@@ -496,12 +460,9 @@ def main(argv=None) -> int:
         return int(err.code or 0)
     try:
         return args.func(args, _load_config(args))
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (_FileFormatError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(err, (vio.FileFormatError, OSError)) else 1
 
 
 if __name__ == "__main__":

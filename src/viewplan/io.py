@@ -16,8 +16,11 @@ from .geometry import Placement, PointCloud
 from .planner import ExperimentReport, RegretTrace
 
 __all__ = [
+    "FileFormatError",
     "write_ply",
     "read_ply",
+    "write_scene",
+    "read_scene",
     "write_json",
     "read_json",
     "placement_to_dict",
@@ -27,6 +30,10 @@ __all__ = [
 ]
 
 PathLike = Union[str, Path]
+
+
+class FileFormatError(ValueError):
+    """A scene file or sidecar that exists but cannot be used; the message names it."""
 
 
 def _fmt(x) -> str:
@@ -53,44 +60,44 @@ def read_ply(path: PathLike) -> PointCloud:
     try:
         text = Path(path).read_text(encoding="ascii")
     except UnicodeDecodeError as err:
-        raise ValueError(f"{path}: {err}") from None
+        raise FileFormatError(f"{path}: {err}") from None
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "ply":
-        raise ValueError(f"{path}: not a PLY file")
+        raise FileFormatError(f"{path}: not a PLY file")
     try:
         end = lines.index("end_header")
     except ValueError:
-        raise ValueError(f"{path}: missing end_header") from None
+        raise FileFormatError(f"{path}: missing end_header") from None
     header = lines[1:end]
     if "format ascii 1.0" not in header:
-        raise ValueError(f"{path}: only 'format ascii 1.0' is supported")
+        raise FileFormatError(f"{path}: only 'format ascii 1.0' is supported")
     n = None
     props = []
     for ln in header:
         parts = ln.split()
         if parts[0] in ("element", "property") and len(parts) < 3:
-            raise ValueError(f"{path}: malformed header line {ln!r}")
+            raise FileFormatError(f"{path}: malformed header line {ln!r}")
         if parts[0] == "element":
             if parts[1] != "vertex":
-                raise ValueError(f"{path}: unsupported element {parts[1]!r}")
+                raise FileFormatError(f"{path}: unsupported element {parts[1]!r}")
             try:
                 n = int(parts[2])
             except ValueError:
-                raise ValueError(f"{path}: vertex count {parts[2]!r} is not an integer") from None
+                raise FileFormatError(f"{path}: vertex count {parts[2]!r} is not an integer") from None
         elif parts[0] == "property":
             if parts[1] not in ("double", "float"):
-                raise ValueError(f"{path}: unsupported property type {parts[1]!r}")
+                raise FileFormatError(f"{path}: unsupported property type {parts[1]!r}")
             props.append(parts[2])
     if n is None or props[:3] != ["x", "y", "z"]:
-        raise ValueError(f"{path}: expected vertex element with x y z properties")
+        raise FileFormatError(f"{path}: expected vertex element with x y z properties")
     body = lines[end + 1 :]
     if len(body) != n:
-        raise ValueError(f"{path}: expected {n} vertex rows, found {len(body)}")
+        raise FileFormatError(f"{path}: expected {n} vertex rows, found {len(body)}")
     try:
         pts = np.array([[float(v) for v in ln.split()[:3]] for ln in body])
         return PointCloud(pts)
     except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
+        raise FileFormatError(f"{path}: {err}") from None
 
 
 def write_json(path: PathLike, payload) -> None:
@@ -101,6 +108,35 @@ def write_json(path: PathLike, payload) -> None:
 
 def read_json(path: PathLike):
     return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def write_scene(path: PathLike, cloud: PointCloud, **meta) -> None:
+    """The PLY at ``path``, and beside it a ``.json`` of ``meta``, point count and plant ranges."""
+    write_ply(path, cloud)
+    ranges = [list(r) for r in cloud.plant_ranges]
+    write_json(Path(path).with_suffix(".json"), dict(meta, n_points=len(cloud), plant_ranges=ranges))
+
+
+def read_scene(path: PathLike) -> PointCloud:
+    """The PLY at ``path``, split by the ``plant_ranges`` of the ``.json`` beside it, if any."""
+    sidecar = Path(path).with_suffix(".json")
+    ranges = None
+    if sidecar.exists():
+        try:
+            meta = read_json(sidecar)
+        except ValueError as err:
+            raise FileFormatError(f"{sidecar}: not valid JSON: {err}") from None
+        try:
+            ranges = [(int(a), int(b)) for a, b in meta.get("plant_ranges", [])] or None
+        except (AttributeError, TypeError, ValueError, OverflowError):
+            raise FileFormatError(
+                f"{sidecar}: plant_ranges must be a list of [start, stop] pairs"
+            ) from None
+    cloud = read_ply(path)
+    try:
+        return PointCloud(cloud.points, ranges)
+    except ValueError as err:
+        raise FileFormatError(f"{sidecar}: {err}") from None
 
 
 def placement_to_dict(placement: Placement) -> dict:

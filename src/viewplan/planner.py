@@ -115,10 +115,7 @@ class RegretTrace:
 
     def rows(self):
         """(iteration, phase, observed, running_best, simple_regret) tuples."""
-        best = self.running_best()
-        for t, value in enumerate(self.observed):
-            phase = "init" if t < self.n_init else "bo"
-            yield (t + 1, phase, float(value), float(best[t]), simple_regret(float(best[t])))
+        return _regret_rows(self.observed, lambda t: "init" if t < self.n_init else "bo")
 
 
 @dataclass(frozen=True)
@@ -135,9 +132,14 @@ class BaselineResult:
         return simple_regret(self.best_value)
 
     def rows(self):
-        best = np.maximum.accumulate(np.asarray(self.values, dtype=float))
-        for t, value in enumerate(self.values):
-            yield (t + 1, "baseline", float(value), float(best[t]), simple_regret(float(best[t])))
+        return _regret_rows(self.values, lambda t: "baseline")
+
+
+def _regret_rows(observed, phase):
+    """The rows of :meth:`RegretTrace.rows`, ``phase(t)`` naming the phase of row ``t``."""
+    best = np.maximum.accumulate(np.asarray(observed, dtype=float))
+    for t, value in enumerate(observed):
+        yield (t + 1, phase(t), float(value), float(best[t]), simple_regret(float(best[t])))
 
 
 def init_design(config: BoConfig, cloud: PointCloud) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

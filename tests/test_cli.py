@@ -11,7 +11,7 @@ import pytest
 import viewplan
 from viewplan import FactorizationError, SceneSpec, generate_scene, planner
 from viewplan.cli import main
-from viewplan.io import read_json, read_ply, write_ply
+from viewplan.io import read_json, read_ply, write_ply, write_scene
 
 
 @pytest.fixture
@@ -64,6 +64,20 @@ class TestGenerateScene:
         sidecar = read_json(out / "scene_grid9.json")
         assert sidecar["n_points"] == 9 * 15
         assert len(sidecar["plant_ranges"]) == 9
+
+    # generate-scene writes a layout; it does not copy a scene file.
+    @pytest.mark.parametrize("given_by", ["flag", "config"])
+    def test_scene_file_exits_before_writing(self, tmp_path, tiny_config, capsys, given_by):
+        scene = tmp_path / "scene_grid9.ply"
+        write_scene(scene, generate_scene(SceneSpec(layout="grid9", points_per_plant=10)),
+                    layout="grid9")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(read_json(tiny_config), scene_path=str(scene))))
+        out = tmp_path / "out"
+        argv = ["--scene", str(scene)] if given_by == "flag" else ["--config", str(cfg)]
+        assert run("generate-scene", *argv, "--out", str(out)) == 1
+        assert str(scene) in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPlan:
@@ -406,11 +420,16 @@ class TestConfig:
             ("noise", "direction", 1.0),
             ("noise", "direction", [1, 0, 0, 0]),
             ("noise", "direction", [[1], 0, 0]),
+            ("bo", "rng_seed", -1),
+            ("bo", "rng_seed", -500),
+            ("scene", "rng_seed", -3),
+            ("noise", "rng_seed", -7),
         ],
         ids=["float", "string", "bool", "whole_float", "cameras_float", "seed_string",
              "float_string", "float_bool", "lower_string", "lower_bool", "upper_null",
              "upper_short", "direction_string", "direction_scalar", "direction_long",
-             "direction_nested"],
+             "direction_nested", "seed_negative", "seed_derived_valid", "scene_seed_negative",
+             "noise_seed_negative"],
     )
     def test_bad_section_scalar_exits_before_writing(self, tmp_path, tiny_config, capsys,
                                                      section, key, value):
@@ -616,6 +635,17 @@ class TestExitCodes:
         code = run("experiment", "--scenes", "hexfield",
                    "--config", tiny_config, "--out", str(tmp_path / "o"))
         assert code == 1
+
+    # --seed sets bo.rng_seed, which numpy's generators reject when negative,
+    # so the config check must catch it before any output directory exists.
+    @pytest.mark.parametrize("command", ["plan", "baseline", "experiment"])
+    def test_negative_seed_flag_exits_before_writing(self, tmp_path, tiny_config, capsys,
+                                                     command):
+        out = tmp_path / "o"
+        code = run(command, "--seed", "-1", "--config", tiny_config, "--out", str(out))
+        assert code == 1
+        assert "'rng_seed' in section 'bo'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scene_path_in_experiment(self, tmp_path, tiny_config, capsys):
         cfg = tmp_path / "cfg.json"

@@ -11,13 +11,16 @@ from viewplan import (
     RegretTrace,
 )
 from viewplan.io import (
+    FileFormatError,
     placement_to_dict,
     read_json,
     read_ply,
+    read_scene,
     write_json,
     write_mean_regret_csv,
     write_ply,
     write_report_csv,
+    write_scene,
     write_trace_csv,
 )
 
@@ -84,8 +87,26 @@ class TestPly:
     def test_rejects_malformed_files(self, tmp_path, text):
         path = tmp_path / "bad.ply"
         path.write_text(text)
-        with pytest.raises(ValueError, match="bad.ply"):
+        with pytest.raises(FileFormatError, match="bad.ply") as info:
             read_ply(path)
+        assert isinstance(info.value, ValueError)
+
+
+class TestScene:
+    def test_roundtrip_keeps_points_and_ranges(self, tmp_path):
+        cloud = small_cloud()
+        path = tmp_path / "c.ply"
+        write_scene(path, cloud, layout="test")
+        back = read_scene(path)
+        assert np.array_equal(back.points, cloud.points)
+        assert back.plant_ranges == cloud.plant_ranges == ((0, 5), (5, 12))
+        sidecar = read_json(tmp_path / "c.json")
+        assert sidecar == {"layout": "test", "n_points": 12, "plant_ranges": [[0, 5], [5, 12]]}
+
+    def test_ply_without_sidecar_is_one_range(self, tmp_path):
+        path = tmp_path / "c.ply"
+        write_ply(path, small_cloud())
+        assert read_scene(path).plant_ranges == ((0, 12),)
 
 
 class TestJson:
